@@ -1,6 +1,6 @@
 # Standard entry points for the reproduction repo.
 
-.PHONY: build test check serve-check bench-interp bench-passes bench-vm bench-meter bench-sched bench-dist bench-cache bench-serve enginediff faultmatrix scheddiff distdiff
+.PHONY: build test check serve-check bench-interp bench-passes bench-vm bench-meter bench-sched bench-cache bench-serve enginediff faultmatrix scheddiff
 
 build:
 	go build ./...
@@ -62,18 +62,6 @@ scheddiff:
 # to BENCH_sched.json.
 bench-sched:
 	go run ./cmd/jperf bench -sched -o BENCH_sched.json
-
-# Differential fuzz for the fault-tolerant process dispatcher: random chaos
-# plans (kills, hangs, slow-walks, corrupt replies) must merge to results,
-# commit ledgers and Health tallies bit-identical to the inline run.
-distdiff:
-	go test -tags distdiff -run DistDifferentialFuzz ./internal/dist
-
-# Dispatcher benchmark: inline vs -workers {2,4} worker processes for a
-# reduced Table IV, a corpus analysis and a cross-validation, with in-bench
-# bit-identity assertions, written to BENCH_dist.json.
-bench-dist:
-	go run ./cmd/jperf bench -dist -o BENCH_dist.json
 
 # Artifact-cache benchmark: the full corpus analysis and a reduced Table IV,
 # each run nocache vs cold store vs warm store with in-bench bit-identity

@@ -35,8 +35,6 @@ import (
 	"jepo/internal/cliconfig"
 	"jepo/internal/core"
 	"jepo/internal/corpus"
-	"jepo/internal/dist"
-	"jepo/internal/dist/campaigns"
 	"jepo/internal/service"
 	"jepo/internal/tables"
 )
@@ -46,15 +44,7 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
-	if os.Args[1] == dist.WorkerArg {
-		if err := campaigns.ServeWorker(); err != nil {
-			fmt.Fprintln(os.Stderr, "jepo worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	// Ctrl-C / SIGTERM cancels the root context: pools drain, dist campaigns
-	// shut their nodes down and save their checkpoint ledgers, and the run
+	// Ctrl-C / SIGTERM cancels the root context: pools drain and the run
 	// exits with the cancellation error instead of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -115,10 +105,6 @@ commands:
             -classifier C  whose closure to analyze (default J48)
             -seed N   corpus generation seed
             -jobs N   analysis workers (default GOMAXPROCS)
-            -workers N     worker processes; >1 dispatches files to
-                           re-exec'd workers with node fault tolerance
-                           (stdout stays bit-identical)
-            -node-deadline D  silence window before a node is quarantined
   table1    measure the component-energy ratios behind the suggestions
             -engine E execution engine: vm (bytecode, default) or ast
             -jobs N   bench-pair workers (default GOMAXPROCS)
@@ -308,26 +294,12 @@ func cmdCorpus(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("corpus", flag.ExitOnError)
 	classifier := fs.String("classifier", "J48", "classifier whose generated closure to analyze")
 	seed := fs.Uint64("seed", 20200518, "corpus generation seed")
-	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
+	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	fs.Parse(args)
 	eng := shared.ApplyCache()
 	engine, err := shared.Engine()
 	if err != nil {
 		return err
-	}
-	if shared.Workers() > 1 {
-		dcfg, err := shared.DistConfig(*seed, func(msg string) { fmt.Fprintln(os.Stderr, "jepo:", msg) })
-		if err != nil {
-			return err
-		}
-		rep, drep, err := campaigns.AnalyzeCorpus(ctx, dcfg, *classifier, *seed, engine)
-		if err != nil {
-			return err
-		}
-		fmt.Print(core.CorpusView(rep))
-		fmt.Fprintln(os.Stderr, drep.String())
-		fmt.Fprint(os.Stderr, drep.NodeSummary())
-		return nil
 	}
 	p, err := corpus.Generate(*classifier, *seed)
 	if err != nil {

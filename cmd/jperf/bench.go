@@ -28,7 +28,6 @@
 //	jperf bench -passes [-o BENCH_passes.json] [-r repeats]
 //	jperf bench -vm [-o BENCH_vm.json] [-r repeats]
 //	jperf bench -sched [-o BENCH_sched.json]
-//	jperf bench -dist [-o BENCH_dist.json]
 //	jperf bench -cache [-o BENCH_cache.json]
 //	jperf bench -serve [-o BENCH_serve.json]
 package main
@@ -71,7 +70,6 @@ func runBenchCmd(ctx context.Context, args []string) error {
 	passesBench := fs.Bool("passes", false, "benchmark the pass engine instead of the interpreter")
 	vmBench := fs.Bool("vm", false, "compare the bytecode VM against the tree-walker")
 	schedBench := fs.Bool("sched", false, "benchmark the deterministic worker pool: sequential vs -jobs {2,4,8}")
-	distBench := fs.Bool("dist", false, "benchmark the fault-tolerant process dispatcher: inline vs -workers {2,4}")
 	cacheBench := fs.Bool("cache", false, "benchmark the artifact cache: nocache vs cold vs warm store")
 	serveBench := fs.Bool("serve", false, "benchmark the session daemon: analyze over HTTP at 1/4/8 concurrent sessions, cold vs warm")
 	meterBench := fs.Bool("meter", false, "quantify the metering floor: full VM fastpath on/off vs meter-only replay, per Table I row")
@@ -108,12 +106,6 @@ func runBenchCmd(ctx context.Context, args []string) error {
 			*out = "BENCH_sched.json"
 		}
 		return runSchedBench(ctx, *out)
-	}
-	if *distBench {
-		if *out == "" {
-			*out = "BENCH_dist.json"
-		}
-		return runDistBench(ctx, *out)
 	}
 	if *cacheBench {
 		if *out == "" {

@@ -7,11 +7,10 @@
 //
 // Usage:
 //
-//	jperf [-main Class] [-r runs] [-jobs N] [-workers N] [-tukey] [-engine vm|ast] <file.java>...
+//	jperf [-main Class] [-r runs] [-jobs N] [-tukey] [-engine vm|ast] <file.java>...
 //	jperf bench [-o BENCH_interp.json] [-r repeats]
 //	jperf bench -vm [-o BENCH_vm.json] [-r repeats]
 //	jperf bench -sched [-o BENCH_sched.json]
-//	jperf bench -dist [-o BENCH_dist.json]
 //	jperf bench -cache [-o BENCH_cache.json]
 //	jperf disasm <file.java>...
 //
@@ -19,11 +18,6 @@
 // sched pool. Every run builds its own meter and interpreter and runs are
 // replayed into the Tukey protocol in index order, so the printed report is
 // bit-identical at any -jobs value; pool telemetry goes to stderr.
-//
-// -workers N dispatches the runs to N re-exec'd worker processes instead,
-// under the fault-tolerant dist protocol (heartbeats, deadlines, node
-// quarantine); the report stays bit-identical and the dispatch ledger goes
-// to stderr.
 package main
 
 import (
@@ -39,8 +33,6 @@ import (
 	"time"
 
 	"jepo/internal/cliconfig"
-	"jepo/internal/dist"
-	"jepo/internal/dist/campaigns"
 	"jepo/internal/energy"
 	cache "jepo/internal/engine"
 	"jepo/internal/minijava/ast"
@@ -51,15 +43,8 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == dist.WorkerArg {
-		if err := campaigns.ServeWorker(); err != nil {
-			fmt.Fprintln(os.Stderr, "jperf worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	// Ctrl-C / SIGTERM cancels the root context: the measurement pool drains
-	// and campaign nodes shut down instead of being orphaned.
+	// instead of being abandoned mid-run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if len(os.Args) > 1 && os.Args[1] == "bench" {
@@ -81,15 +66,14 @@ func main() {
 	runs := fs.Int("r", 10, "repeat count (perf -r), as in the paper")
 	tukey := fs.Bool("tukey", true, "replace Tukey outliers with fresh runs")
 	prof := registerProfileFlags(fs)
-	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
+	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	fs.Parse(os.Args[1:])
 	if err := prof.start(); err != nil {
 		fmt.Fprintln(os.Stderr, "jperf:", err)
 		os.Exit(1)
 	}
 	defer prof.stop()
-	// Install the process-wide artifact engine and export the configuration so
-	// re-exec'd -workers processes inherit it. Stats go to stderr after the
+	// Install the process-wide artifact engine. Stats go to stderr after the
 	// report; stdout stays determinism-pinned.
 	eng := shared.ApplyCache()
 	engine, err := shared.Engine()
@@ -97,7 +81,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "jperf:", err)
 		os.Exit(1)
 	}
-	if err := run(ctx, *mainClass, *runs, *tukey, engine, shared, fs.Args()); err != nil {
+	if err := run(ctx, *mainClass, *runs, *tukey, engine, shared.Jobs(), fs.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "jperf:", err)
 		if errors.Is(err, context.Canceled) {
 			os.Exit(130)
@@ -151,7 +135,7 @@ type measurement struct {
 	health          rapl.Health
 }
 
-func run(ctx context.Context, mainClass string, runs int, tukey bool, engine interp.Engine, shared *cliconfig.Set, args []string) error {
+func run(ctx context.Context, mainClass string, runs int, tukey bool, engine interp.Engine, jobs int, args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("no input files")
 	}
@@ -161,55 +145,24 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	}
 	// The cold program is a cached artifact: parse masters and the linked
 	// bytecode are shared with any other consumer of the same sources.
-	prog, err := cache.Default().Program(engineSources(srcs), false)
+	prog, err := cache.Default().Program(srcs, false)
 	if err != nil {
 		return err
 	}
 
 	// The protocol's initial runs shard across the sched pool — each run has
 	// its own meter and interpreter, so they are independent — and replay
-	// into the protocol in index order. With -workers > 1 they dispatch to
-	// worker processes instead, under heartbeat/quarantine fault tolerance;
-	// either way the runs are deterministic, so the report is bit-identical.
-	// Tukey replacement rounds, if any, fall back to live sequential runs.
-	var pre []measurement
-	if shared.Workers() > 1 {
-		dcfg, derr := shared.DistConfig(0, func(msg string) { fmt.Fprintln(os.Stderr, "jperf:", msg) })
-		if derr != nil {
-			return derr
-		}
-		wire, rep, derr := campaigns.MeasureRuns(ctx, dcfg, campaigns.MeasureParams{
-			Files:  srcs,
-			Main:   mainClass,
-			Engine: engine.String(),
-		}, runs)
-		if derr != nil {
-			return derr
-		}
-		fmt.Fprintln(os.Stderr, rep.String())
-		fmt.Fprint(os.Stderr, rep.NodeSummary())
-		pre = make([]measurement, len(wire))
-		for i, m := range wire {
-			pre[i] = measurement{
-				pkg:     energy.Joules(m.Pkg),
-				core:    energy.Joules(m.Core),
-				dram:    energy.Joules(m.DRAM),
-				elapsed: time.Duration(m.ElapsedNs),
-				cycles:  m.Cycles,
-				health:  m.Health,
-			}
-		}
-	} else {
-		var tel sched.Telemetry
-		pre, tel, err = sched.Map(ctx, sched.Config{Jobs: shared.Jobs()}, make([]struct{}, runs),
-			func(sched.Task, struct{}) (measurement, error) {
-				return runOnce(prog, mainClass, engine)
-			})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(os.Stderr, tel)
+	// into the protocol in index order. The runs are deterministic, so the
+	// report is bit-identical at any -jobs value. Tukey replacement rounds,
+	// if any, fall back to live sequential runs.
+	pre, tel, err := sched.Map(ctx, sched.Config{Jobs: jobs}, make([]struct{}, runs),
+		func(sched.Task, struct{}) (measurement, error) {
+			return runOnce(prog, mainClass, engine)
+		})
+	if err != nil {
+		return err
 	}
+	fmt.Fprintln(os.Stderr, tel)
 
 	var all []measurement
 	measure := func() float64 {
@@ -272,15 +225,6 @@ func run(ctx context.Context, mainClass string, runs int, tukey bool, engine int
 	return nil
 }
 
-// engineSources adapts the campaign wire form to the artifact engine's.
-func engineSources(srcs []campaigns.SourceFile) []cache.Source {
-	out := make([]cache.Source, len(srcs))
-	for i, s := range srcs {
-		out[i] = cache.Source{Path: s.Path, Source: s.Source}
-	}
-	return out
-}
-
 func runOnce(prog *interp.Program, mainClass string, engine interp.Engine) (measurement, error) {
 	meter := energy.NewMeter(energy.DefaultCosts())
 	// Measure through the resilient wrapper, as on hardware: transient read
@@ -312,10 +256,9 @@ func runOnce(prog *interp.Program, mainClass string, engine interp.Engine) (meas
 }
 
 // collectSources reads the raw .java sources named by the arguments
-// (directories are walked). The raw form is what the dist campaign ships to
-// worker processes; parseSources turns it into ASTs for inline execution.
-func collectSources(args []string) ([]campaigns.SourceFile, error) {
-	var srcs []campaigns.SourceFile
+// (directories are walked); parseSources turns them into ASTs.
+func collectSources(args []string) ([]cache.Source, error) {
+	var srcs []cache.Source
 	for _, arg := range args {
 		info, err := os.Stat(arg)
 		if err != nil {
@@ -340,7 +283,7 @@ func collectSources(args []string) ([]campaigns.SourceFile, error) {
 			if err != nil {
 				return nil, err
 			}
-			srcs = append(srcs, campaigns.SourceFile{Path: path, Source: string(b)})
+			srcs = append(srcs, cache.Source{Path: path, Source: string(b)})
 		}
 	}
 	if len(srcs) == 0 {
@@ -349,7 +292,7 @@ func collectSources(args []string) ([]campaigns.SourceFile, error) {
 	return srcs, nil
 }
 
-func parseSources(srcs []campaigns.SourceFile) ([]*ast.File, error) {
+func parseSources(srcs []cache.Source) ([]*ast.File, error) {
 	files := make([]*ast.File, 0, len(srcs))
 	for _, s := range srcs {
 		f, err := cache.Default().ParseFile(s.Path, s.Source)

@@ -3,29 +3,12 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"flag"
-	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"testing"
 
-	"jepo/internal/cliconfig"
 	"jepo/internal/minijava/interp"
 )
-
-// testShared parses a cliconfig set with the given pool width; the dist
-// group stays at its defaults (workers=1) so runs stay in-process.
-func testShared(t *testing.T, jobs int) *cliconfig.Set {
-	t.Helper()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	s := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
-	if err := fs.Parse([]string{"-jobs", strconv.Itoa(jobs)}); err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
 
 func writeDemo(t *testing.T) string {
 	t.Helper()
@@ -46,32 +29,32 @@ func writeDemo(t *testing.T) string {
 
 func TestRunMeasures(t *testing.T) {
 	dir := writeDemo(t)
-	if err := run(context.Background(), "", 4, true, interp.EngineVM, testShared(t, 2), []string{dir}); err != nil {
+	if err := run(context.Background(), "", 4, true, interp.EngineVM, 2, []string{dir}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), "", 3, false, interp.EngineAST, testShared(t, 1), []string{filepath.Join(dir, "Demo.java")}); err != nil {
+	if err := run(context.Background(), "", 3, false, interp.EngineAST, 1, []string{filepath.Join(dir, "Demo.java")}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), nil); err == nil {
+	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, nil); err == nil {
 		t.Error("no input accepted")
 	}
-	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), []string{"missing.java"}); err == nil {
+	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, []string{"missing.java"}); err == nil {
 		t.Error("missing file accepted")
 	}
 	dir := writeDemo(t)
-	if err := run(context.Background(), "NoSuchClass", 3, true, interp.EngineVM, testShared(t, 1), []string{dir}); err == nil {
+	if err := run(context.Background(), "NoSuchClass", 3, true, interp.EngineVM, 1, []string{dir}); err == nil {
 		t.Error("unknown main class accepted")
 	}
 	bad := t.TempDir()
 	os.WriteFile(filepath.Join(bad, "Bad.java"), []byte("class {"), 0o644)
-	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), []string{bad}); err == nil {
+	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, []string{bad}); err == nil {
 		t.Error("syntax error accepted")
 	}
 	empty := t.TempDir()
-	if err := run(context.Background(), "", 3, true, interp.EngineVM, testShared(t, 1), []string{empty}); err == nil {
+	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, []string{empty}); err == nil {
 		t.Error("empty dir accepted")
 	}
 }

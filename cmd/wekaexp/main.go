@@ -13,12 +13,6 @@
 //
 // -jobs N shards table rows across the deterministic sched pool: stdout is
 // bit-identical at any value, and the pool's timing telemetry goes to stderr.
-//
-// -workers N shards table rows across N worker *processes* instead (the
-// binary re-exec'd in worker mode), with heartbeats, per-node deadlines and
-// deterministic reassignment: a killed or hung worker costs a quarantine,
-// never a row, and stdout stays bit-identical to -workers 1. The dispatch
-// report goes to stderr.
 package main
 
 import (
@@ -36,9 +30,6 @@ import (
 	"jepo/internal/airlines"
 	"jepo/internal/cliconfig"
 	"jepo/internal/corpus"
-	"jepo/internal/dist"
-	"jepo/internal/dist/campaigns"
-	"jepo/internal/jmetrics"
 	"jepo/internal/sched"
 	"jepo/internal/service"
 	"jepo/internal/stats"
@@ -46,16 +37,8 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == dist.WorkerArg {
-		if err := campaigns.ServeWorker(); err != nil {
-			fmt.Fprintln(os.Stderr, "wekaexp worker:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	// Ctrl-C / SIGTERM cancels the root context: pools drain, campaigns shut
-	// their nodes down, and -checkpoint files are saved valid so a rerun
-	// resumes instead of restarting.
+	// Ctrl-C / SIGTERM cancels the root context: pools drain and -checkpoint
+	// files are saved valid so a rerun resumes instead of restarting.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := realMain(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -65,18 +48,6 @@ func main() {
 		}
 		os.Exit(1)
 	}
-}
-
-// reportDispatch prints the campaign's dispatch ledger to stderr, keeping
-// determinism-pinned stdout clean.
-func reportDispatch(stderr io.Writer, rep dist.Report) {
-	fmt.Fprintln(stderr, rep.String())
-	fmt.Fprint(stderr, rep.NodeSummary())
-}
-
-// narrate prefixes dispatcher fault-path events onto stderr.
-func narrate(stderr io.Writer) func(string) {
-	return func(msg string) { fmt.Fprintln(stderr, "wekaexp:", msg) }
 }
 
 // realMain is the whole command behind an injectable surface: argument list
@@ -96,21 +67,20 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	dumpFor := fs.String("classifier", "J48", "classifier whose corpus -dump-corpus writes")
 	checkpoint := fs.String("checkpoint", "", "directory persisting completed Table IV rows; reruns resume from it")
 	rowTimeout := fs.Duration("row-timeout", 0, "per-classifier deadline for Table IV (0 = none)")
-	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs|cliconfig.FeatDist)
+	shared := cliconfig.Register(fs, cliconfig.FeatEngine|cliconfig.FeatJobs)
 	verbose := fs.Bool("v", false, "print progress")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	// Install the process-wide artifact engine and export the configuration,
-	// so re-exec'd -workers processes inherit it. Stats print to stderr at
-	// the end; stdout stays determinism-pinned.
+	// Install the process-wide artifact engine. Stats print to stderr at the
+	// end; stdout stays determinism-pinned.
 	eng := shared.ApplyCache()
 	defer func() { fmt.Fprintln(stderr, eng.Stats()) }()
 	engine, err := shared.Engine()
 	if err != nil {
 		return err
 	}
-	jobs, workers := shared.Jobs(), shared.Workers()
+	jobs := shared.Jobs()
 
 	if *dumpDir != "" {
 		if err := dumpCorpus(stdout, *dumpDir, *dumpFor, *seed); err != nil {
@@ -133,27 +103,11 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 
 	run("1", func() error {
-		var rows []tables.Table1Row
-		if workers > 1 {
-			dcfg, err := shared.DistConfig(*seed, narrate(stderr))
-			if err != nil {
-				return err
-			}
-			var rep dist.Report
-			rows, rep, err = campaigns.Table1Rows(ctx, dcfg, engine)
-			if err != nil {
-				return err
-			}
-			reportDispatch(stderr, rep)
-		} else {
-			var tel sched.Telemetry
-			var err error
-			rows, tel, err = tables.Table1Jobs(ctx, engine, jobs)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stderr, tel)
+		rows, tel, err := tables.Table1Jobs(ctx, engine, jobs)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintln(stderr, tel)
 		fmt.Fprintln(stdout, "=== Table I: Java components & suggestions (measured) ===")
 		fmt.Fprint(stdout, tables.RenderTable1(rows))
 		fmt.Fprintln(stdout)
@@ -161,27 +115,11 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	})
 
 	run("2", func() error {
-		var rows []jmetrics.Metrics
-		if workers > 1 {
-			dcfg, err := shared.DistConfig(*seed, narrate(stderr))
-			if err != nil {
-				return err
-			}
-			var rep dist.Report
-			rows, rep, err = campaigns.Table2Rows(ctx, dcfg, *seed)
-			if err != nil {
-				return err
-			}
-			reportDispatch(stderr, rep)
-		} else {
-			var tel sched.Telemetry
-			var err error
-			rows, tel, err = tables.Table2Parallel(ctx, *seed, jobs)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stderr, tel)
+		rows, tel, err := tables.Table2Parallel(ctx, *seed, jobs)
+		if err != nil {
+			return err
 		}
+		fmt.Fprintln(stderr, tel)
 		fmt.Fprint(stdout, service.RenderTable2(rows))
 		return nil
 	})
@@ -236,31 +174,9 @@ func realMain(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 			cfg.Progress = func(msg string) { fmt.Fprintln(stderr, msg) }
 		}
 		fmt.Fprintln(stdout, "=== Table IV: WEKA evaluation ===")
-		var rows []tables.Table4Row
-		if workers > 1 {
-			dcfg, derr := shared.DistConfig(*seed, narrate(stderr))
-			if derr != nil {
-				return derr
-			}
-			// The dispatch ledger rides in the same directory as the row
-			// checkpoints: a crashed campaign resumes both layers.
-			if *checkpoint != "" {
-				if merr := os.MkdirAll(*checkpoint, 0o755); merr != nil {
-					return merr
-				}
-				dcfg.Checkpoint = filepath.Join(*checkpoint, "dist_table4.json")
-			}
-			var rep dist.Report
-			rows, rep, err = campaigns.Table4Rows(ctx, dcfg, cfg)
-			if err != nil {
-				return err
-			}
-			reportDispatch(stderr, rep)
-		} else {
-			rows, err = tables.Table4Supervised(ctx, cfg)
-			if err != nil {
-				return err
-			}
+		rows, err := tables.Table4Supervised(ctx, cfg)
+		if err != nil {
+			return err
 		}
 		fmt.Fprint(stdout, tables.RenderTable4(rows))
 		fmt.Fprintln(stdout)

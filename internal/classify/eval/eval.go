@@ -131,29 +131,26 @@ func FoldSeeds(seed uint64, k int) []uint64 {
 	return out
 }
 
-// FoldEval is one fold's independently computed evaluation, merged into
-// the Result in fold order. It is JSON-shaped so a fold evaluated in a
-// dist worker process ships its exact counts back to the dispatcher —
-// integers round-trip losslessly, so a remotely evaluated fold merges
-// bit-identically to a local one.
-type FoldEval struct {
-	Name      string  `json:"name"`
-	Correct   int     `json:"correct"`
-	Total     int     `json:"total"`
-	Confusion [][]int `json:"confusion"` // [actual][predicted]
+// foldEval is one fold's independently computed evaluation, merged into
+// the Result in fold order.
+type foldEval struct {
+	Name      string
+	Correct   int
+	Total     int
+	Confusion [][]int // [actual][predicted]
 }
 
-// EvalFold trains and evaluates exactly one fold of a stratified split:
+// evalFold trains and evaluates exactly one fold of a stratified split:
 // its own classifier from the fold's pre-derived seed, its own confusion
 // counts, no shared state. folds must come from d.StratifiedFolds; the
-// fold seed from FoldSeeds. This is the unit the cross-validation pool —
-// and the dist "cvfold" campaign — shards.
-func EvalFold(d *dataset.Dataset, folds [][]int, fold int, foldSeed uint64, make SeededFactory) (FoldEval, error) {
+// fold seed from FoldSeeds. This is the unit the cross-validation pool
+// shards.
+func evalFold(d *dataset.Dataset, folds [][]int, fold int, foldSeed uint64, make SeededFactory) (foldEval, error) {
 	train, test := d.TrainTest(folds, fold)
 	c := make(fold, foldSeed)
-	out := FoldEval{Name: c.Name(), Confusion: newConfusion(d.NumClasses())}
+	out := foldEval{Name: c.Name(), Confusion: newConfusion(d.NumClasses())}
 	if err := c.Train(train); err != nil {
-		return FoldEval{}, fmt.Errorf("eval: fold %d: %w", fold, err)
+		return foldEval{}, fmt.Errorf("eval: fold %d: %w", fold, err)
 	}
 	for i, row := range test.X {
 		pred := c.Predict(row)
@@ -169,19 +166,10 @@ func EvalFold(d *dataset.Dataset, folds [][]int, fold int, foldSeed uint64, make
 	return out, nil
 }
 
-// MergeFoldEvals folds per-fold outcomes, in fold-index order, into a
-// Result. Integer sums are ordering-blind, but PerFold preserves fold
-// order, so callers must pass evals indexed by fold.
-func MergeFoldEvals(numClasses int, evals []FoldEval) *Result {
-	res := &Result{Confusion: newConfusion(numClasses)}
-	for _, out := range evals {
-		mergeFold(res, out)
-	}
-	return res
-}
-
-// mergeFold accumulates one fold into the result.
-func mergeFold(res *Result, out FoldEval) {
+// mergeFold accumulates one fold into the result. Integer sums are
+// ordering-blind, but PerFold preserves fold order, so folds must be merged
+// in fold-index order.
+func mergeFold(res *Result, out foldEval) {
 	if res.Name == "" {
 		res.Name = out.Name
 	}
@@ -223,10 +211,10 @@ func CrossValidateSeeded(ctx context.Context, d *dataset.Dataset, k int, seed ui
 	seeds := FoldSeeds(seed, len(folds))
 	res := &Result{Confusion: newConfusion(d.NumClasses())}
 	_, _, err = sched.MapCommit(ctx, sched.Config{Jobs: jobs, Seed: seed}, folds,
-		func(task sched.Task, _ []int) (FoldEval, error) {
-			return EvalFold(d, folds, task.Index, seeds[task.Index], make)
+		func(task sched.Task, _ []int) (foldEval, error) {
+			return evalFold(d, folds, task.Index, seeds[task.Index], make)
 		},
-		func(_ sched.Task, out FoldEval) {
+		func(_ sched.Task, out foldEval) {
 			mergeFold(res, out)
 		})
 	if err != nil {

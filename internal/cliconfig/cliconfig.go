@@ -1,25 +1,15 @@
 // Package cliconfig is the one place the repository's command-line surfaces
 // declare their shared execution knobs. jepo, jperf, wekaexp and the jepod
-// daemon all expose the same five flags — -engine, -jobs, -cache,
-// -cache-size, -workers (plus -node-deadline) — and before this package each
-// binary re-declared them with drifting help strings and its own
-// apply-after-parse ritual. Register once, Parse, then read the typed
-// accessors.
-//
-// The package also owns the environment inheritance contract for re-exec'd
-// dist worker processes: ApplyCache installs the process-wide artifact
-// engine AND exports JEPO_CACHE / JEPO_CACHE_SIZE, and DistConfig folds the
-// JEPO_DIST_FAULTS chaos plan into the dispatcher config, so a worker child
-// observes exactly the configuration its parent parsed.
+// daemon all expose the same flags — -engine, -jobs, -cache and
+// -cache-size — and before this package each binary re-declared them with
+// drifting help strings and its own apply-after-parse ritual. Register once,
+// Parse, then read the typed accessors.
 package cliconfig
 
 import (
 	"flag"
-	"fmt"
 	"runtime"
-	"time"
 
-	"jepo/internal/dist"
 	"jepo/internal/engine"
 	"jepo/internal/minijava/interp"
 )
@@ -33,27 +23,21 @@ const (
 	FeatEngine Feature = 1 << iota
 	// FeatJobs declares -jobs (sched pool width; pure wall-clock knob).
 	FeatJobs
-	// FeatDist declares -workers and -node-deadline (process dispatcher).
-	FeatDist
 )
 
 // Set holds the parsed shared flags of one command. Accessors are valid
 // only after the owning FlagSet has been parsed.
 type Set struct {
-	features Feature
-
-	engineName   *string
-	jobs         *int
-	workers      *int
-	nodeDeadline *time.Duration
-	cacheOn      *bool
-	cacheSize    *int
+	engineName *string
+	jobs       *int
+	cacheOn    *bool
+	cacheSize  *int
 }
 
 // Register declares the shared flags on fs: the artifact-cache pair always,
 // plus the groups selected by features. Call before fs.Parse.
 func Register(fs *flag.FlagSet, features Feature) *Set {
-	s := &Set{features: features}
+	s := &Set{}
 	s.cacheOn = fs.Bool("cache", true, "content-addressed artifact cache (parse/program/sample reuse; stdout is identical either way)")
 	s.cacheSize = fs.Int("cache-size", engine.DefaultCapacity, "artifact cache capacity in entries")
 	if features&FeatEngine != 0 {
@@ -62,19 +46,13 @@ func Register(fs *flag.FlagSet, features Feature) *Set {
 	if features&FeatJobs != 0 {
 		s.jobs = fs.Int("jobs", runtime.GOMAXPROCS(0), "worker pool width; stdout is bit-identical at any value (telemetry goes to stderr)")
 	}
-	if features&FeatDist != 0 {
-		s.workers = fs.Int("workers", 1, "worker processes; >1 dispatches tasks to re-exec'd workers with fault tolerance (stdout stays bit-identical)")
-		s.nodeDeadline = fs.Duration("node-deadline", 10*time.Second, "silence window after which a worker node is quarantined and its task reassigned")
-	}
 	return s
 }
 
 // ApplyCache installs the process-wide artifact engine from the parsed
-// -cache/-cache-size values and exports the configuration to the
-// environment (JEPO_CACHE, JEPO_CACHE_SIZE) so re-exec'd worker processes
-// inherit it. Call exactly once, right after parsing.
+// -cache/-cache-size values. Call exactly once, right after parsing.
 func (s *Set) ApplyCache() *engine.Engine {
-	return engine.SetProcessConfig(engine.Config{Disabled: !*s.cacheOn, Capacity: *s.cacheSize})
+	return engine.Configure(s.CacheConfig())
 }
 
 // CacheConfig returns the parsed cache configuration without installing it.
@@ -98,40 +76,4 @@ func (s *Set) Jobs() int {
 		panic("cliconfig: Jobs() without FeatJobs")
 	}
 	return *s.jobs
-}
-
-// Workers returns the parsed -workers value. Requires FeatDist.
-func (s *Set) Workers() int {
-	if s.workers == nil {
-		panic("cliconfig: Workers() without FeatDist")
-	}
-	return *s.workers
-}
-
-// NodeDeadline returns the parsed -node-deadline value. Requires FeatDist.
-func (s *Set) NodeDeadline() time.Duration {
-	if s.nodeDeadline == nil {
-		panic("cliconfig: NodeDeadline() without FeatDist")
-	}
-	return *s.nodeDeadline
-}
-
-// DistConfig assembles the dispatcher configuration every -workers campaign
-// shares: the parsed worker count and node deadline, bounded retries, the
-// JEPO_DIST_FAULTS chaos plan from the environment, and fault-path events
-// narrated through onEvent (stderr material — never stdout). Requires
-// FeatDist.
-func (s *Set) DistConfig(seed uint64, onEvent func(string)) (dist.Config, error) {
-	plan, err := dist.EnvPlan()
-	if err != nil {
-		return dist.Config{}, fmt.Errorf("cliconfig: %w", err)
-	}
-	return dist.Config{
-		Workers:  s.Workers(),
-		Seed:     seed,
-		Retries:  2,
-		Deadline: s.NodeDeadline(),
-		Plan:     plan,
-		OnEvent:  onEvent,
-	}, nil
 }

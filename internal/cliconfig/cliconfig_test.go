@@ -3,9 +3,7 @@ package cliconfig
 import (
 	"flag"
 	"io"
-	"os"
 	"testing"
-	"time"
 
 	"jepo/internal/engine"
 )
@@ -18,7 +16,7 @@ func newFlagSet() *flag.FlagSet {
 
 func TestDefaults(t *testing.T) {
 	fs := newFlagSet()
-	s := Register(fs, FeatEngine|FeatJobs|FeatDist)
+	s := Register(fs, FeatEngine|FeatJobs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -35,20 +33,13 @@ func TestDefaults(t *testing.T) {
 	if s.Jobs() <= 0 {
 		t.Errorf("default jobs = %d, want > 0", s.Jobs())
 	}
-	if s.Workers() != 1 {
-		t.Errorf("default workers = %d, want 1", s.Workers())
-	}
-	if s.NodeDeadline() != 10*time.Second {
-		t.Errorf("default node-deadline = %v, want 10s", s.NodeDeadline())
-	}
 }
 
 func TestParsedValues(t *testing.T) {
 	fs := newFlagSet()
-	s := Register(fs, FeatEngine|FeatJobs|FeatDist)
+	s := Register(fs, FeatEngine|FeatJobs)
 	args := []string{
-		"-engine", "ast", "-jobs", "3", "-workers", "4",
-		"-node-deadline", "2s", "-cache=false", "-cache-size", "99",
+		"-engine", "ast", "-jobs", "3", "-cache=false", "-cache-size", "99",
 	}
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -63,16 +54,15 @@ func TestParsedValues(t *testing.T) {
 	if eng.String() != "ast" {
 		t.Errorf("engine = %v, want ast", eng)
 	}
-	if s.Jobs() != 3 || s.Workers() != 4 || s.NodeDeadline() != 2*time.Second {
-		t.Errorf("jobs/workers/deadline = %d/%d/%v, want 3/4/2s",
-			s.Jobs(), s.Workers(), s.NodeDeadline())
+	if s.Jobs() != 3 {
+		t.Errorf("jobs = %d, want 3", s.Jobs())
 	}
 }
 
 func TestFeatureGating(t *testing.T) {
 	fs := newFlagSet()
 	Register(fs, 0)
-	for _, name := range []string{"engine", "jobs", "workers", "node-deadline"} {
+	for _, name := range []string{"engine", "jobs"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("flag -%s registered without its feature bit", name)
 		}
@@ -84,11 +74,11 @@ func TestFeatureGating(t *testing.T) {
 	}
 }
 
-func TestApplyCacheExportsEnv(t *testing.T) {
-	t.Cleanup(func() {
-		os.Unsetenv(engine.EnvCache)
-		os.Unsetenv(engine.EnvCacheSize)
-	})
+// TestApplyCacheInstallsEngine: ApplyCache installs the parsed cache
+// configuration as the process-wide engine.
+func TestApplyCacheInstallsEngine(t *testing.T) {
+	prev := engine.SetDefault(nil)
+	t.Cleanup(func() { engine.SetDefault(prev) })
 	fs := newFlagSet()
 	s := Register(fs, 0)
 	if err := fs.Parse([]string{"-cache=false", "-cache-size", "77"}); err != nil {
@@ -98,49 +88,10 @@ func TestApplyCacheExportsEnv(t *testing.T) {
 	if !eng.Stats().Disabled {
 		t.Error("ApplyCache did not disable the engine")
 	}
-	if got := os.Getenv(engine.EnvCache); got != "0" {
-		t.Errorf("%s = %q, want \"0\" (worker processes must inherit -cache=false)", engine.EnvCache, got)
+	if engine.Default() != eng {
+		t.Error("ApplyCache did not install its engine as the process default")
 	}
-	if got := os.Getenv(engine.EnvCacheSize); got != "77" {
-		t.Errorf("%s = %q, want \"77\"", engine.EnvCacheSize, got)
-	}
-	if cfg := engine.EnvConfig(); !cfg.Disabled || cfg.Capacity != 77 {
-		t.Errorf("EnvConfig round-trip = %+v, want disabled/77", cfg)
-	}
-}
-
-func TestDistConfigInheritsFaultPlan(t *testing.T) {
-	t.Setenv("JEPO_DIST_FAULTS", "1:kill@2")
-	fs := newFlagSet()
-	s := Register(fs, FeatDist)
-	if err := fs.Parse([]string{"-workers", "3", "-node-deadline", "1s"}); err != nil {
-		t.Fatal(err)
-	}
-	var events []string
-	cfg, err := s.DistConfig(42, func(msg string) { events = append(events, msg) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Workers != 3 || cfg.Seed != 42 || cfg.Deadline != time.Second || cfg.Retries != 2 {
-		t.Errorf("dist config = %+v, want workers=3 seed=42 deadline=1s retries=2", cfg)
-	}
-	if cfg.Plan == nil {
-		t.Error("JEPO_DIST_FAULTS was not folded into the dispatcher config")
-	}
-	cfg.OnEvent("probe")
-	if len(events) != 1 || events[0] != "probe" {
-		t.Errorf("OnEvent not wired: %v", events)
-	}
-}
-
-func TestDistConfigRejectsBadFaultPlan(t *testing.T) {
-	t.Setenv("JEPO_DIST_FAULTS", "not-a-plan")
-	fs := newFlagSet()
-	s := Register(fs, FeatDist)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.DistConfig(0, nil); err == nil {
-		t.Error("DistConfig accepted a malformed JEPO_DIST_FAULTS")
+	if got := eng.Stats().Capacity; got != 77 {
+		t.Errorf("capacity = %d, want 77", got)
 	}
 }

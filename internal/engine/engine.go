@@ -28,9 +28,7 @@ package engine
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"sync/atomic"
 
 	"jepo/internal/energy"
@@ -44,13 +42,6 @@ import (
 // full corpus analysis produces roughly four artifacts per file (AST master,
 // program, sample, report), so this holds several corpora without eviction.
 const DefaultCapacity = 16384
-
-// Environment variables propagating the CLI cache flags into re-exec'd dist
-// worker processes, which parse no flags of their own.
-const (
-	EnvCache     = "JEPO_CACHE"
-	EnvCacheSize = "JEPO_CACHE_SIZE"
-)
 
 // Config parameterizes an Engine.
 type Config struct {
@@ -85,15 +76,13 @@ func New(cfg Config) *Engine {
 
 var defaultEngine atomic.Pointer[Engine]
 
-// Default returns the process-wide engine, creating it from the environment
-// (EnvCache/EnvCacheSize) on first use. Dist worker processes reach their
-// cache exclusively through here, so one worker serving many tasks hydrates
-// a single store.
+// Default returns the process-wide engine, creating one with the default
+// configuration on first use.
 func Default() *Engine {
 	if e := defaultEngine.Load(); e != nil {
 		return e
 	}
-	e := New(EnvConfig())
+	e := New(Config{})
 	if defaultEngine.CompareAndSwap(nil, e) {
 		return e
 	}
@@ -112,36 +101,6 @@ func Configure(cfg Config) *Engine {
 // instrumented engine and restore the old state after.
 func SetDefault(e *Engine) *Engine {
 	return defaultEngine.Swap(e)
-}
-
-// SetProcessConfig is Configure plus environment export: the -cache and
-// -cache-size CLI flags call it so that worker processes the CLI re-execs
-// inherit the same cache configuration through EnvCache/EnvCacheSize.
-func SetProcessConfig(cfg Config) *Engine {
-	if cfg.Disabled {
-		os.Setenv(EnvCache, "0")
-	} else {
-		os.Setenv(EnvCache, "1")
-	}
-	if cfg.Capacity > 0 {
-		os.Setenv(EnvCacheSize, strconv.Itoa(cfg.Capacity))
-	}
-	return Configure(cfg)
-}
-
-// EnvConfig reads the cache configuration exported by SetProcessConfig.
-func EnvConfig() Config {
-	var cfg Config
-	switch os.Getenv(EnvCache) {
-	case "0", "false", "off", "no":
-		cfg.Disabled = true
-	}
-	if v := os.Getenv(EnvCacheSize); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			cfg.Capacity = n
-		}
-	}
-	return cfg
 }
 
 func (e *Engine) disabled() bool { return e.s == nil }

@@ -209,23 +209,3 @@ func TestDisabledEngineMatchesEnabled(t *testing.T) {
 		t.Fatalf("disabled engine parses = %d, want 1", off.Stats().Parses)
 	}
 }
-
-// TestEnvConfigRoundTrip: SetProcessConfig exports what EnvConfig reads, so a
-// re-exec'd dist worker reconstructs the parent's cache configuration.
-func TestEnvConfigRoundTrip(t *testing.T) {
-	t.Setenv(engine.EnvCache, "")
-	t.Setenv(engine.EnvCacheSize, "")
-	prev := engine.SetDefault(engine.New(engine.Config{}))
-	defer engine.SetDefault(prev)
-
-	engine.SetProcessConfig(engine.Config{Disabled: true, Capacity: 123})
-	cfg := engine.EnvConfig()
-	if !cfg.Disabled || cfg.Capacity != 123 {
-		t.Fatalf("round trip lost config: %+v", cfg)
-	}
-	engine.SetProcessConfig(engine.Config{Capacity: 77})
-	cfg = engine.EnvConfig()
-	if cfg.Disabled || cfg.Capacity != 77 {
-		t.Fatalf("round trip lost config: %+v", cfg)
-	}
-}

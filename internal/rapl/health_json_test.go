@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestHealthJSONRoundTrip pins the wire shape worker processes use to ship
-// their degradation tallies to the dispatcher: every field must survive
-// marshal/unmarshal exactly, and merged tallies must aggregate the same
-// whether Add runs before or after the trip.
+// TestHealthJSONRoundTrip pins the JSON shape of a degradation tally: every
+// field must survive marshal/unmarshal exactly, and merged tallies must
+// aggregate the same whether Add runs before or after the trip.
 func TestHealthJSONRoundTrip(t *testing.T) {
 	h := Health{
 		Reads:           101,
@@ -31,21 +30,21 @@ func TestHealthJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip drifted: sent %+v, got %+v", h, back)
 	}
 	if !back.Degraded() {
-		t.Error("degradation flag lost across the wire")
+		t.Error("degradation flag lost in the round trip")
 	}
 
-	// Field names are protocol: an older dispatcher must still find them.
+	// Field names are the stable lower-case JSON names.
 	var fields map[string]int
 	if err := json.Unmarshal(blob, &fields); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"reads", "retries", "interpolated", "fallbacks", "discontinuities", "quarantined", "resets"} {
 		if _, ok := fields[name]; !ok {
-			t.Errorf("wire field %q missing from %s", name, blob)
+			t.Errorf("JSON field %q missing from %s", name, blob)
 		}
 	}
 
-	// Zero value round-trips to zero value — a clean worker reports clean.
+	// Zero value round-trips to zero value — a clean run reports clean.
 	var zero Health
 	blob, err = json.Marshal(zero)
 	if err != nil {
@@ -60,9 +59,8 @@ func TestHealthJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHealthAddMerge: dispatcher-side aggregation must commute with the
-// wire — unmarshal(a)+unmarshal(b) equals unmarshal of nothing plus the
-// field-wise sums, for every field.
+// TestHealthAddMerge: aggregation must commute with a JSON round trip —
+// unmarshal(a)+unmarshal(b) equals the field-wise sums, for every field.
 func TestHealthAddMerge(t *testing.T) {
 	a := Health{Reads: 10, Retries: 1, Interpolated: 2, Resets: 3}
 	b := Health{Reads: 5, Fallbacks: 4, Discontinuities: 1, Quarantined: 2, Resets: 1}

@@ -13,10 +13,8 @@ import (
 )
 
 // Health tallies the degraded-path events a measurement source has absorbed.
-// The zero value means every read succeeded on the first attempt. The JSON
-// shape is part of the dist wire protocol: worker processes report their
-// per-task tallies over it and the dispatcher Add-merges them, so renaming
-// a field is a protocol change, not a refactor.
+// The zero value means every read succeeded on the first attempt. Tallies
+// from independent runs Add-merge field-wise.
 type Health struct {
 	Reads           int `json:"reads"`           // snapshots requested by callers
 	Retries         int `json:"retries"`         // re-reads issued after transient errors

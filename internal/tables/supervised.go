@@ -19,26 +19,14 @@ import (
 	"jepo/internal/airlines"
 	"jepo/internal/corpus"
 	"jepo/internal/dataset"
-	"jepo/internal/dist"
 	"jepo/internal/sched"
 )
 
-// Table4Runner is the per-row face of the supervised Table IV pipeline:
-// the shared inputs (generated data, normalized kernel features) computed
-// once, plus a Row method that runs one classifier under full supervision.
-// It exists so row execution can be hosted anywhere — the sched pool here,
-// or a dist worker process, which memoizes one runner per campaign and
-// serves rows from it.
-type Table4Runner struct {
-	cfg    Table4Config
-	data   *dataset.Dataset
-	feats  [][]float64
-	labels []int64
-	sayMu  sync.Mutex
-}
-
-// NewTable4Runner prepares the shared inputs and the checkpoint directory.
-func NewTable4Runner(cfg Table4Config) (*Table4Runner, error) {
+// Table4Supervised runs the full §VIII validation with per-row supervision.
+// Every classifier produces a row: successful rows carry measurements,
+// failed ones carry Err. The returned error covers infrastructure problems
+// only (an unusable checkpoint directory), never a row failure.
+func Table4Supervised(ctx context.Context, cfg Table4Config) ([]Table4Row, error) {
 	if cfg.CheckpointDir != "" {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return nil, fmt.Errorf("tables: checkpoint dir: %w", err)
@@ -46,52 +34,33 @@ func NewTable4Runner(cfg Table4Config) (*Table4Runner, error) {
 	}
 	data := airlines.Generate(cfg.Instances, cfg.Seed)
 	feats, labels := kernelData(data)
-	return &Table4Runner{cfg: cfg, data: data, feats: feats, labels: labels}, nil
-}
-
-func (r *Table4Runner) say(format string, args ...any) {
-	if r.cfg.Progress != nil {
-		r.sayMu.Lock()
-		r.cfg.Progress(fmt.Sprintf(format, args...))
-		r.sayMu.Unlock()
-	}
-}
-
-// Row runs one classifier's supervised pipeline: a valid checkpointed row
-// is returned without re-measuring, a freshly measured successful row is
-// persisted (atomically), and every failure mode — error, panic, deadline
-// — comes back as a row with Err set, never as an error. Rows are
-// independent and Row is goroutine-safe.
-func (r *Table4Runner) Row(ctx context.Context, name string) Table4Row {
-	if row, ok := loadCheckpoint(r.cfg.CheckpointDir, name); ok {
-		r.say("%s: resumed from checkpoint", name)
-		return row
-	}
-	row := superviseRow(ctx, name, r.data, r.feats, r.labels, r.cfg, r.say)
-	if row.Err == "" {
-		if err := saveCheckpoint(r.cfg.CheckpointDir, row); err != nil {
-			r.say("%s: checkpoint not written: %v", name, err)
+	var sayMu sync.Mutex
+	say := func(format string, args ...any) {
+		if cfg.Progress != nil {
+			sayMu.Lock()
+			cfg.Progress(fmt.Sprintf(format, args...))
+			sayMu.Unlock()
 		}
 	}
-	return row
-}
-
-// Table4Supervised runs the full §VIII validation with per-row supervision.
-// Every classifier produces a row: successful rows carry measurements,
-// failed ones carry Err. The returned error covers infrastructure problems
-// only (an unusable checkpoint directory), never a row failure.
-func Table4Supervised(ctx context.Context, cfg Table4Config) ([]Table4Row, error) {
-	runner, err := NewTable4Runner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Rows run on the sched pool under the same supervision semantics as
-	// before: superviseRow converts every failure mode (error, panic,
-	// deadline) into a row with Err set, so the pool's fn never errors and
-	// every classifier always yields a row, committed in paper order.
+	// Rows run on the sched pool. A valid checkpointed row is returned
+	// without re-measuring and a freshly measured successful row is
+	// persisted atomically. superviseRow converts every failure mode (error,
+	// panic, deadline) into a row with Err set, so the pool's fn never
+	// errors and every classifier always yields a row, committed in paper
+	// order.
 	rows, tel, err := sched.Map(ctx, sched.Config{Jobs: cfg.Slots, Seed: cfg.Seed}, corpus.Classifiers,
 		func(_ sched.Task, name string) (Table4Row, error) {
-			return runner.Row(ctx, name), nil
+			if row, ok := loadCheckpoint(cfg.CheckpointDir, name); ok {
+				say("%s: resumed from checkpoint", name)
+				return row, nil
+			}
+			row := superviseRow(ctx, name, data, feats, labels, cfg, say)
+			if row.Err == "" {
+				if err := saveCheckpoint(cfg.CheckpointDir, row); err != nil {
+					say("%s: checkpoint not written: %v", name, err)
+				}
+			}
+			return row, nil
 		})
 	if cfg.OnTelemetry != nil {
 		cfg.OnTelemetry(tel)
@@ -182,8 +151,8 @@ func loadCheckpoint(dir, name string) (Table4Row, bool) {
 
 // saveCheckpoint persists a completed row. Only successful rows are written,
 // so a rerun retries exactly the failures. The write is atomic (temp file +
-// rename): a worker or process death mid-write leaves the previous bytes —
-// or no file — never a truncated checkpoint that would poison resume.
+// rename): a process death mid-write leaves the previous bytes — or no
+// file — never a truncated checkpoint that would poison resume.
 func saveCheckpoint(dir string, row Table4Row) error {
 	if dir == "" {
 		return nil
@@ -192,5 +161,36 @@ func saveCheckpoint(dir string, row Table4Row) error {
 	if err != nil {
 		return err
 	}
-	return dist.AtomicWriteFile(checkpointPath(dir, row.Classifier), append(blob, '\n'), 0o644)
+	return atomicWriteFile(checkpointPath(dir, row.Classifier), append(blob, '\n'), 0o644)
+}
+
+// atomicWriteFile writes data to path via a temp file in the same directory
+// plus rename, so readers never observe a torn write: they see the old bytes
+// or the new bytes, never a truncated file.
+func atomicWriteFile(path string, data []byte, perm os.FileMode) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	tmpName := tmp.Name()
+	cleanup := func(err error) error {
+		tmp.Close()
+		os.Remove(tmpName)
+		return err
+	}
+	if _, err := tmp.Write(data); err != nil {
+		return cleanup(err)
+	}
+	if err := tmp.Chmod(perm); err != nil {
+		return cleanup(err)
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	return nil
 }

@@ -269,3 +269,27 @@ func TestSupervisedMeasuresOneRealRow(t *testing.T) {
 		t.Errorf("unexpected successes without checkpoints: %v", names)
 	}
 }
+
+// TestAtomicWriteFile: a rewrite replaces the bytes whole and leaves no temp
+// file behind, so a checkpoint reader never sees a torn write.
+func TestAtomicWriteFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.json")
+	if err := atomicWriteFile(path, []byte("first"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := atomicWriteFile(path, []byte("second"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := os.ReadFile(path)
+	if err != nil || string(blob) != "second" {
+		t.Fatalf("read %q, %v; want %q", blob, err, "second")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("temp litter left behind: %v", entries)
+	}
+}

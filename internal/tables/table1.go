@@ -277,18 +277,10 @@ func Table1(ctx context.Context, engine interp.Engine) ([]Table1Row, error) {
 	return rows, err
 }
 
-// Table1Count is the number of component pairs Table I measures.
-func Table1Count() int { return len(table1Benches) }
-
-// Table1Pair measures one component pair by paper-order index: both
-// variants on fresh parser/interpreter/meter instances, so pairs are fully
-// independent of each other. This is the task unit both the sched pool and
-// the dist "table1" campaign shard.
-func Table1Pair(ctx context.Context, i int, engine interp.Engine) (Table1Row, error) {
-	if i < 0 || i >= len(table1Benches) {
-		return Table1Row{}, fmt.Errorf("tables: table 1 pair %d out of range", i)
-	}
-	b := table1Benches[i]
+// table1Pair measures one component pair: both variants on fresh
+// parser/interpreter/meter instances, so pairs are fully independent of
+// each other. This is the task unit the sched pool shards.
+func table1Pair(ctx context.Context, b table1Bench, engine interp.Engine) (Table1Row, error) {
 	slow, err := measureBench(ctx, b.slow, engine)
 	if err != nil {
 		return Table1Row{}, fmt.Errorf("tables: %v slow variant: %w", b.rule, err)
@@ -312,8 +304,8 @@ func Table1Pair(ctx context.Context, i int, engine interp.Engine) (Table1Row, er
 // jobs count.
 func Table1Jobs(ctx context.Context, engine interp.Engine, jobs int) ([]Table1Row, sched.Telemetry, error) {
 	return sched.Map(ctx, sched.Config{Jobs: jobs}, table1Benches,
-		func(task sched.Task, _ table1Bench) (Table1Row, error) {
-			return Table1Pair(ctx, task.Index, engine)
+		func(_ sched.Task, b table1Bench) (Table1Row, error) {
+			return table1Pair(ctx, b, engine)
 		})
 }
 

@@ -42,15 +42,14 @@ func Table2(ctx context.Context, seed uint64) ([]jmetrics.Metrics, error) {
 func Table2Parallel(ctx context.Context, seed uint64, jobs int) ([]jmetrics.Metrics, sched.Telemetry, error) {
 	return sched.Map(ctx, sched.Config{Jobs: jobs, Seed: seed}, corpus.Classifiers,
 		func(_ sched.Task, name string) (jmetrics.Metrics, error) {
-			return Table2Row(name, seed)
+			return table2Row(name, seed)
 		})
 }
 
-// Table2Row measures one classifier's Table II metrics: its own corpus
+// table2Row measures one classifier's Table II metrics: its own corpus
 // generation, parse and measurement, fully independent of the other rows.
-// This is the task unit both the sched pool and the dist "table2" campaign
-// shard.
-func Table2Row(name string, seed uint64) (jmetrics.Metrics, error) {
+// This is the task unit the sched pool shards.
+func table2Row(name string, seed uint64) (jmetrics.Metrics, error) {
 	p, err := corpus.Generate(name, seed)
 	if err != nil {
 		return jmetrics.Metrics{}, err
@@ -122,9 +121,7 @@ type Table4Config struct {
 	RowHook func(classifier string) error
 
 	// Cache selects the artifact engine the pipeline's parse and kernel
-	// measurement stages go through (nil = engine.Default()). Deliberately
-	// absent from the dist wire form: worker processes always use their own
-	// process-wide engine.
+	// measurement stages go through (nil = engine.Default()).
 	Cache *engine.Engine
 }
 

@@ -34,22 +34,14 @@ echo "== sched diff =="
 # parallelism.
 go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
 
-echo "== dist diff =="
-# Differential fuzz for the fault-tolerant process dispatcher: random task
-# counts, worker counts and chaos plans (kills, hangs, slow-walks, corrupted
-# replies) must merge to results, commit ledgers and Health tallies that are
-# bit-identical to the inline run.
-go test -tags distdiff -run DistDifferentialFuzz ./internal/dist
-
-echo "== golden battery: both engines, cold and warm, across -jobs and -workers =="
+echo "== golden battery: both engines, cold and warm, across -jobs =="
 # The golden energy battery must reproduce the golden file bit for bit on
 # both engines cold (Determinism), agree bit for bit between engines when
 # each case runs twice on one instance so the VM executes its quickened
 # copies (WarmExecution), survive sharding over the pool at -jobs 1, 4
-# and GOMAXPROCS (SchedJobs), survive the dist worker protocol with a
-# mid-campaign kill (DistWorkers), and reproduce the golden through the
+# and GOMAXPROCS (SchedJobs), and reproduce the golden through the
 # artifact engine's cached parse/program path, cold and warm (EngineCache).
-go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySchedJobs|GoldenEnergyDistWorkers|GoldenEnergyEngineCache' ./internal/tables
+go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySchedJobs|GoldenEnergyEngineCache' ./internal/tables
 
 echo "== metering fast path off: golden battery =="
 # The metering fast path (precomputed unit deltas, bound charge runs, fused
@@ -102,24 +94,6 @@ go run ./cmd/wekaexp -table 2 -cache=false >"$tmpdir/table2.nocache" 2>/dev/null
 if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.nocache"; then
     echo "wekaexp -table 2 stdout differs between -cache=false and the cached default" >&2
     diff -u "$tmpdir/table2.1" "$tmpdir/table2.nocache" >&2 || true
-    exit 1
-fi
-
-echo "== -workers byte-identity under faults =="
-# The distributed campaign drill: -workers 4 with one worker process killed
-# and one hung mid-campaign must quarantine both nodes, finish the table,
-# and keep stdout byte-identical to the sequential run. The quarantine tally
-# is asserted from the dispatch report on stderr.
-JEPO_DIST_FAULTS="1:kill@1;2:hang@0" go run ./cmd/wekaexp -table 2 -workers 4 -node-deadline 5s \
-    >"$tmpdir/table2.w4" 2>"$tmpdir/table2.w4.err"
-if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.w4"; then
-    echo "wekaexp -table 2 stdout differs between -workers 1 and faulted -workers 4" >&2
-    diff -u "$tmpdir/table2.1" "$tmpdir/table2.w4" >&2 || true
-    exit 1
-fi
-if ! grep -q 'quarantined=2' "$tmpdir/table2.w4.err"; then
-    echo "dispatch report did not record the two quarantined workers:" >&2
-    cat "$tmpdir/table2.w4.err" >&2
     exit 1
 fi
 
