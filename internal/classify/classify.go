@@ -75,9 +75,9 @@ func (r *RNG) Intn(n int) int { return int(r.Next() % uint64(n)) }
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 { return float64(r.Next()>>11) / float64(1<<53) }
 
-// Encoder maps dataset rows to dense feature vectors: numeric attributes are
-// standardized, nominal attributes are one-hot encoded. The linear models
-// (Logistic, SGD, SMO) share it.
+// Encoder maps dataset rows to sparse feature vectors: numeric attributes are
+// standardized, nominal attributes are one-hot encoded, and only the nonzero
+// features are kept. The linear models (Logistic, SGD, SMO) share it.
 type Encoder struct {
 	attrs    []*dataset.Attribute
 	classIdx int
@@ -85,6 +85,13 @@ type Encoder struct {
 	dim      int
 	mean     []float64 // per numeric attr
 	std      []float64
+}
+
+// Sparse is an encoded row as its nonzero features: Val[k] is the value of
+// feature Idx[k], and Idx ascends.
+type Sparse struct {
+	Idx []int32
+	Val []float64
 }
 
 // NewEncoder builds an encoder for the dataset's schema and fits the numeric
@@ -117,11 +124,16 @@ func NewEncoder(d *dataset.Dataset) *Encoder {
 // Dim is the encoded feature dimension.
 func (e *Encoder) Dim() int { return e.dim }
 
-// Encode writes the feature vector for row into out (len Dim).
-func (e *Encoder) Encode(row []float64, out []float64) {
-	for i := range out {
-		out[i] = 0
+// EncodeSparse overwrites dst with the nonzero features of row, in ascending
+// feature order. A nominal value in range yields a single 1; one out of range
+// yields nothing. A numeric value yields its standardized value unless that
+// is exactly zero (NaN is kept). A dst without capacity gets room for the
+// widest row.
+func (e *Encoder) EncodeSparse(row []float64, dst *Sparse) {
+	if cap(dst.Idx) == 0 {
+		dst.Idx, dst.Val = make([]int32, 0, len(e.attrs)), make([]float64, 0, len(e.attrs))
 	}
+	dst.Idx, dst.Val = dst.Idx[:0], dst.Val[:0]
 	for j, a := range e.attrs {
 		if j == e.classIdx {
 			continue
@@ -130,22 +142,29 @@ func (e *Encoder) Encode(row []float64, out []float64) {
 		if a.Kind == dataset.Nominal {
 			v := int(row[j])
 			if v >= 0 && v < a.NumValues() {
-				out[off+v] = 1
+				dst.Idx = append(dst.Idx, int32(off+v))
+				dst.Val = append(dst.Val, 1)
 			}
 			continue
 		}
-		out[off] = (row[j] - e.mean[j]) / e.std[j]
+		if x := (row[j] - e.mean[j]) / e.std[j]; x != 0 {
+			dst.Idx = append(dst.Idx, int32(off))
+			dst.Val = append(dst.Val, x)
+		}
 	}
 }
 
-// EncodeAll encodes every row of d into a dense matrix plus class labels.
-func (e *Encoder) EncodeAll(d *dataset.Dataset) ([][]float64, []int) {
-	x := make([][]float64, d.NumInstances())
-	y := make([]int, d.NumInstances())
-	flat := make([]float64, d.NumInstances()*e.dim)
+// EncodeRows encodes every row of d plus its class label. The rows share
+// one backing array.
+func (e *Encoder) EncodeRows(d *dataset.Dataset) ([]Sparse, []int) {
+	n, w := d.NumInstances(), len(e.attrs)-1
+	x := make([]Sparse, n)
+	y := make([]int, n)
+	idx := make([]int32, n*w)
+	val := make([]float64, n*w)
 	for i, row := range d.X {
-		x[i] = flat[i*e.dim : (i+1)*e.dim]
-		e.Encode(row, x[i])
+		x[i] = Sparse{Idx: idx[i*w : i*w : (i+1)*w], Val: val[i*w : i*w : (i+1)*w]}
+		e.EncodeSparse(row, &x[i])
 		y[i] = d.Class(i)
 	}
 	return x, y

@@ -43,7 +43,7 @@ func (c *Logistic) Train(d *dataset.Dataset) error {
 		return fmt.Errorf("logistic: empty training set")
 	}
 	c.enc = classify.NewEncoder(d)
-	x, y := c.enc.EncodeAll(d)
+	x, y := c.enc.EncodeRows(d)
 	c.nc = d.NumClasses()
 	dim := c.enc.Dim()
 	c.w = make([][]float64, c.nc)
@@ -73,11 +73,8 @@ func (c *Logistic) Train(d *dataset.Dataset) error {
 				}
 				wk := c.w[k]
 				step := lr * g
-				for f, v := range x[i] {
-					if v == 0 {
-						continue
-					}
-					wk[f] = fp.R(wk[f] - step*v - lr*c.Ridge*wk[f])
+				for n, f := range x[i].Idx {
+					wk[f] = fp.R(wk[f] - step*x[i].Val[n] - lr*c.Ridge*wk[f])
 				}
 				wk[dim] = fp.R(wk[dim] - step)
 			}
@@ -88,17 +85,14 @@ func (c *Logistic) Train(d *dataset.Dataset) error {
 }
 
 // scores writes wᵀx per class into out.
-func (c *Logistic) scores(feat []float64, out []float64) {
+func (c *Logistic) scores(feat classify.Sparse, out []float64) {
 	fp := c.opts.FP
 	dim := c.enc.Dim()
 	for k := 0; k < c.nc; k++ {
 		s := c.w[k][dim]
 		wk := c.w[k]
-		for f, v := range feat {
-			if v == 0 {
-				continue
-			}
-			s = fp.R(s + wk[f]*v)
+		for n, f := range feat.Idx {
+			s = fp.R(s + wk[f]*feat.Val[n])
 		}
 		out[k] = s
 	}
@@ -123,8 +117,8 @@ func softmax(xs []float64, fp classify.FP) {
 
 // Predict implements Classifier.
 func (c *Logistic) Predict(row []float64) int {
-	feat := make([]float64, c.enc.Dim())
-	c.enc.Encode(row, feat)
+	var feat classify.Sparse
+	c.enc.EncodeSparse(row, &feat)
 	out := make([]float64, c.nc)
 	c.scores(feat, out)
 	return classify.ArgMax(out)

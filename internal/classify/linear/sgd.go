@@ -41,7 +41,7 @@ func (c *SGD) Train(d *dataset.Dataset) error {
 		return fmt.Errorf("sgd: hinge loss requires a binary class, got %d values", d.NumClasses())
 	}
 	c.enc = classify.NewEncoder(d)
-	x, y := c.enc.EncodeAll(d)
+	x, y := c.enc.EncodeRows(d)
 	c.w = make([]float64, c.enc.Dim())
 	c.bias = 0
 	fp := c.opts.FP
@@ -59,7 +59,8 @@ func (c *SGD) Train(d *dataset.Dataset) error {
 		for _, i := range order {
 			t := float64(2*y[i] - 1) // {0,1} → {−1,+1}
 			margin := fp.R(c.margin(x[i]) * t)
-			// L2 shrinkage.
+			// L2 shrinkage stays a dense pass: a lazily applied scale
+			// factor would round differently.
 			shrink := 1 - lr*c.Lambda
 			for f := range c.w {
 				if c.w[f] != 0 {
@@ -67,11 +68,8 @@ func (c *SGD) Train(d *dataset.Dataset) error {
 				}
 			}
 			if margin < 1 {
-				for f, v := range x[i] {
-					if v == 0 {
-						continue
-					}
-					c.w[f] = fp.R(c.w[f] + lr*t*v)
+				for n, f := range x[i].Idx {
+					c.w[f] = fp.R(c.w[f] + lr*t*x[i].Val[n])
 				}
 				c.bias = fp.R(c.bias + lr*t)
 			}
@@ -80,22 +78,19 @@ func (c *SGD) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-func (c *SGD) margin(feat []float64) float64 {
+func (c *SGD) margin(feat classify.Sparse) float64 {
 	fp := c.opts.FP
 	s := c.bias
-	for f, v := range feat {
-		if v == 0 {
-			continue
-		}
-		s = fp.R(s + c.w[f]*v)
+	for n, f := range feat.Idx {
+		s = fp.R(s + c.w[f]*feat.Val[n])
 	}
 	return s
 }
 
 // Predict implements Classifier.
 func (c *SGD) Predict(row []float64) int {
-	feat := make([]float64, c.enc.Dim())
-	c.enc.Encode(row, feat)
+	var feat classify.Sparse
+	c.enc.EncodeSparse(row, &feat)
 	if c.margin(feat) >= 0 {
 		return 1
 	}

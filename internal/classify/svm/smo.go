@@ -21,14 +21,17 @@ type SMO struct {
 	Tol float64
 	// MaxPasses bounds full no-change sweeps before stopping.
 	MaxPasses int
-	// Exponent selects the polynomial kernel degree (default 1 = linear;
-	// only 1 uses the fast path with an explicit weight vector).
+	// Exponent selects the polynomial kernel degree (default 1 = linear).
+	// Degree 1 keeps an explicit weight vector, so the decision function
+	// costs one pass over a row's nonzeros; higher degrees sum kernel terms
+	// over every support vector.
 	Exponent int
 
 	opts  classify.Options
 	enc   *classify.Encoder
-	x     [][]float64
-	y     []float64 // ±1
+	x     []classify.Sparse // training rows, nonzeros in ascending index order
+	kself []float64         // kernel(x[i], x[i])
+	y     []float64         // ±1
 	alpha []float64
 	b     float64
 	w     []float64 // maintained for the linear kernel
@@ -54,11 +57,13 @@ func (c *SMO) Train(d *dataset.Dataset) error {
 		return fmt.Errorf("smo: kernel exponent must be ≥1, got %d", c.Exponent)
 	}
 	c.enc = classify.NewEncoder(d)
-	feats, labels := c.enc.EncodeAll(d)
+	feats, labels := c.enc.EncodeRows(d)
 	c.x = feats
 	c.y = make([]float64, len(labels))
+	c.kself = make([]float64, len(labels))
 	for i, yi := range labels {
 		c.y[i] = float64(2*yi - 1)
+		c.kself[i] = c.kernel(c.x[i], c.x[i])
 	}
 	n := len(c.x)
 	c.alpha = make([]float64, n)
@@ -92,16 +97,13 @@ func (c *SMO) Train(d *dataset.Dataset) error {
 	return nil
 }
 
-// f evaluates the decision function on an encoded vector.
-func (c *SMO) f(feat []float64) float64 {
+// f evaluates the decision function on an encoded row.
+func (c *SMO) f(feat classify.Sparse) float64 {
 	fp := c.opts.FP
 	if c.Exponent == 1 {
 		s := c.b
-		for k, v := range feat {
-			if v == 0 {
-				continue
-			}
-			s = fp.R(s + c.w[k]*v)
+		for k, f := range feat.Idx {
+			s = fp.R(s + c.w[f]*feat.Val[k])
 		}
 		return s
 	}
@@ -115,11 +117,20 @@ func (c *SMO) f(feat []float64) float64 {
 	return s
 }
 
-func (c *SMO) kernel(a, b []float64) float64 {
+// kernel is the polynomial kernel of two encoded rows; the dot product
+// merges their ascending index lists.
+func (c *SMO) kernel(a, b classify.Sparse) float64 {
 	dot := 0.0
-	for k, v := range a {
-		if v != 0 && b[k] != 0 {
-			dot += v * b[k]
+	for p, q := 0, 0; p < len(a.Idx) && q < len(b.Idx); {
+		switch {
+		case a.Idx[p] < b.Idx[q]:
+			p++
+		case a.Idx[p] > b.Idx[q]:
+			q++
+		default:
+			dot += a.Val[p] * b.Val[q]
+			p++
+			q++
 		}
 	}
 	if c.Exponent == 1 {
@@ -143,8 +154,7 @@ func (c *SMO) optimizePair(i, j int, ei float64, fp classify.FP) bool {
 	if lo == hi {
 		return false
 	}
-	kii := c.kernel(c.x[i], c.x[i])
-	kjj := c.kernel(c.x[j], c.x[j])
+	kii, kjj := c.kself[i], c.kself[j]
 	kij := c.kernel(c.x[i], c.x[j])
 	eta := 2*kij - kii - kjj
 	if eta >= 0 {
@@ -174,15 +184,11 @@ func (c *SMO) optimizePair(i, j int, ei float64, fp classify.FP) bool {
 	if c.Exponent == 1 {
 		di := (newAi - ai) * c.y[i]
 		dj := (newAj - aj) * c.y[j]
-		for k, v := range c.x[i] {
-			if v != 0 {
-				c.w[k] = fp.R(c.w[k] + di*v)
-			}
+		for k, f := range c.x[i].Idx {
+			c.w[f] = fp.R(c.w[f] + di*c.x[i].Val[k])
 		}
-		for k, v := range c.x[j] {
-			if v != 0 {
-				c.w[k] = fp.R(c.w[k] + dj*v)
-			}
+		for k, f := range c.x[j].Idx {
+			c.w[f] = fp.R(c.w[f] + dj*c.x[j].Val[k])
 		}
 	}
 	c.alpha[i], c.alpha[j] = newAi, newAj
@@ -191,8 +197,8 @@ func (c *SMO) optimizePair(i, j int, ei float64, fp classify.FP) bool {
 
 // Predict implements Classifier.
 func (c *SMO) Predict(row []float64) int {
-	feat := make([]float64, c.enc.Dim())
-	c.enc.Encode(row, feat)
+	var feat classify.Sparse
+	c.enc.EncodeSparse(row, &feat)
 	if c.f(feat) >= 0 {
 		return 1
 	}

@@ -16,13 +16,13 @@ import (
 // The zero value means every read succeeded on the first attempt. Tallies
 // from independent runs Add-merge field-wise.
 type Health struct {
-	Reads           int `json:"reads"`           // snapshots requested by callers
-	Retries         int `json:"retries"`         // re-reads issued after transient errors
-	Interpolated    int `json:"interpolated"`    // reads served from the last-known-good value
-	Fallbacks       int `json:"fallbacks"`       // reads served by the fallback source
-	Discontinuities int `json:"discontinuities"` // primary→fallback switches (energy baseline rebased)
-	Quarantined     int `json:"quarantined"`     // zones dropped after consecutive read failures
-	Resets          int `json:"resets"`          // backwards counter jumps with no declared wrap range
+	Reads           int // snapshots requested by callers
+	Retries         int // re-reads issued after transient errors
+	Interpolated    int // reads served from the last-known-good value
+	Fallbacks       int // reads served by the fallback source
+	Discontinuities int // primary→fallback switches (energy baseline rebased)
+	Quarantined     int // zones dropped after consecutive read failures
+	Resets          int // backwards counter jumps with no declared wrap range
 }
 
 // Degraded reports whether any read took a degraded path.

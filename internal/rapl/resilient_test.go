@@ -180,6 +180,28 @@ func TestHealthAddStringDegraded(t *testing.T) {
 	}
 }
 
+// TestHealthAddMerge: Add is the field-wise sum, for every field, and it
+// commutes.
+func TestHealthAddMerge(t *testing.T) {
+	a := Health{Reads: 10, Retries: 1, Interpolated: 2, Resets: 3}
+	b := Health{Reads: 5, Fallbacks: 4, Discontinuities: 1, Quarantined: 2, Resets: 1}
+	want := Health{
+		Reads:           15,
+		Retries:         1,
+		Interpolated:    2,
+		Fallbacks:       4,
+		Discontinuities: 1,
+		Quarantined:     2,
+		Resets:          4,
+	}
+	if got := a.Add(b); got != want {
+		t.Errorf("Add = %+v, want %+v", got, want)
+	}
+	if a.Add(b) != b.Add(a) {
+		t.Error("Add is not commutative")
+	}
+}
+
 // --- hardened powercap: wrap-reset branches, quarantine, disappearing zones ---
 
 // TestSysfsBackwardsWithoutRangeSkipsDelta covers the counter-reset branch:

@@ -108,6 +108,17 @@ if ! go run ./cmd/jepo analyze examples/java | diff -u examples/java/golden_anal
     exit 1
 fi
 
+echo "== wekaexp -table 4 golden =="
+# Classifier or energy drift in the paper's headline experiment shows up
+# here: a reduced Table IV (accuracy drop included) must match the
+# checked-in golden byte for byte.
+if ! go run ./cmd/wekaexp -table 4 -folds 10 -reps 1 -runs 3 2>/dev/null | diff -u internal/tables/testdata/golden_table4.txt -; then
+    echo "wekaexp -table 4 output drifted from internal/tables/testdata/golden_table4.txt" >&2
+    echo "regenerate (after auditing the diff) with:" >&2
+    echo "    go run ./cmd/wekaexp -table 4 -folds 10 -reps 1 -runs 3 > internal/tables/testdata/golden_table4.txt" >&2
+    exit 1
+fi
+
 echo "== jperf disasm golden =="
 # Compiler drift shows up as a bytecode diff: the example program's
 # disassembly must match the checked-in golden byte for byte.
