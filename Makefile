@@ -1,6 +1,6 @@
 # Standard entry points for the reproduction repo.
 
-.PHONY: build test check serve-check bench-interp bench-passes bench-vm bench-meter bench-sched bench-cache bench-serve enginediff faultmatrix scheddiff
+.PHONY: build test check serve-check bench-interp bench-passes bench-vm bench-sched bench-cache bench-serve enginediff faultmatrix scheddiff
 
 build:
 	go build ./...
@@ -32,13 +32,6 @@ bench-passes:
 # the Table I corpus plus the probe-opcode overhead, written to BENCH_vm.json.
 bench-vm:
 	go run ./cmd/jperf bench -vm -o BENCH_vm.json
-
-# Metering-floor benchmark: full VM with the metering fast path on vs off,
-# against a meter-only replay of each row's exact charge volume — the Amdahl
-# floor the energy model imposes — written to BENCH_meter.json. Every row
-# asserts the on/off joule bits are identical.
-bench-meter:
-	go run ./cmd/jperf bench -meter -o BENCH_meter.json
 
 # Differential engine fuzz: the bytecode VM and the tree-walker must agree
 # bit-for-bit (results, output, op counts, Joules) on the Table I corpus and

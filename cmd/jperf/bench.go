@@ -72,7 +72,6 @@ func runBenchCmd(ctx context.Context, args []string) error {
 	schedBench := fs.Bool("sched", false, "benchmark the deterministic worker pool: sequential vs -jobs {2,4,8}")
 	cacheBench := fs.Bool("cache", false, "benchmark the artifact cache: nocache vs cold vs warm store")
 	serveBench := fs.Bool("serve", false, "benchmark the session daemon: analyze over HTTP at 1/4/8 concurrent sessions, cold vs warm")
-	meterBench := fs.Bool("meter", false, "quantify the metering floor: full VM fastpath on/off vs meter-only replay, per Table I row")
 	engineName := fs.String("engine", "vm", "execution engine for the plain trajectory: vm or ast")
 	prof := registerProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -118,12 +117,6 @@ func runBenchCmd(ctx context.Context, args []string) error {
 			*out = "BENCH_serve.json"
 		}
 		return runServeBench(ctx, *out)
-	}
-	if *meterBench {
-		if *out == "" {
-			*out = "BENCH_meter.json"
-		}
-		return runMeterBench(*out, *repeats)
 	}
 	if *out == "" {
 		*out = "BENCH_interp.json"

@@ -9,9 +9,8 @@ import (
 )
 
 // profileFlags wires the standard pprof pair (-cpuprofile/-memprofile) into a
-// flag set. The CPU profile covers everything between start and stop — these
-// are the profiles the metering-floor split in DESIGN.md was measured from —
-// and the heap profile is written at stop time after a final GC, so it shows
+// flag set. The CPU profile covers everything between start and stop, and
+// the heap profile is written at stop time after a final GC, so it shows
 // live objects rather than collection noise.
 type profileFlags struct {
 	cpu *string

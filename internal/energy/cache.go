@@ -104,37 +104,6 @@ func (c *Cache) Access(addr uint64, size int) (lines, missed int) {
 	return lines, missed
 }
 
-// AccessRun simulates count accesses of size bytes at base, base+stride,
-// base+2·stride, … in one tight loop, performing exactly the per-access
-// transitions of count individual Access calls — same lookups, same stamp
-// updates, same evictions, in the same order — and reporting the summed line
-// and miss totals. Like the per-set lastWay memo it is self-validating: every
-// access re-checks the tag, so the batched loop cannot drift from the
-// unbatched sequence. Accesses that span a line boundary take the same
-// multi-line walk Access takes.
-func (c *Cache) AccessRun(base, stride uint64, count, size int) (lines, missed int) {
-	span := uint64(size)
-	if size <= 0 {
-		span = 1
-	}
-	addr := base
-	for k := 0; k < count; k++ {
-		first := addr >> c.lineBits
-		if (addr+span-1)>>c.lineBits == first {
-			lines++
-			if !c.touch(first) {
-				missed++
-			}
-		} else {
-			l, m := c.Access(addr, size)
-			lines += l
-			missed += m
-		}
-		addr += stride
-	}
-	return lines, missed
-}
-
 // setOf maps a line to its set index: a mask for power-of-two set counts,
 // the modulus otherwise. Both compute int(line) % c.sets for the
 // non-negative line numbers the synthetic heap produces.

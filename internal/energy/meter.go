@@ -2,7 +2,6 @@ package energy
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"time"
@@ -16,13 +15,13 @@ import (
 // single-threaded, as the JVM thread the paper instruments is.
 //
 // The charging methods come in two layers. Step, Access and StepList are the
-// general API; when the fast path is on (see fastpath.go) their hot cases
-// run on precomputed unit deltas, and the flattened helpers —
-// FieldAccess, StaticAccess, ArrayAccess, AccessRun, StepRun — give the
+// general API; their hot cases (a single occurrence, a single-line access)
+// add per-op unit deltas folded from the cost table at construction. The
+// flattened lane helpers — FieldAccess, StaticAccess, ArrayAccess — give the
 // interpreter's dispatch loop single concrete calls for its fixed charge
-// sequences. Every fast form performs the identical additions in the
-// identical order as the general form it replaces; with
-// JEPO_METER_FASTPATH=off every helper degrades to the original calls.
+// sequences. Every form performs the identical additions in the identical
+// order as the general product code (stepN, accessLines): x*1.0 == x in
+// IEEE 754, so a unit delta is bit for bit the product it replaces.
 type Meter struct {
 	costs CostTable
 	cache *Cache
@@ -33,18 +32,28 @@ type Meter struct {
 	opCounts   [NumOps]uint64
 	heapCursor uint64 // bump allocator for synthetic addresses
 
-	// Fast-path state, folded from costs at construction (fastpath.go):
-	// per-op unit deltas and the unit cache hit/miss/DRAM charges. fast is
-	// false when JEPO_METER_FASTPATH=off; fastN folds the gate and the n==1
-	// test into one comparison (1 when fast, an impossible count when not)
-	// to keep Step within the compiler's inlining budget — the whole point
-	// of the unit-delta path is that the dispatch loop's charges compile to
-	// straight-line adds, not calls.
-	fast        bool
-	fastN       int
+	// Unit deltas folded from costs at construction: per-op Step(op, 1)
+	// charges and the single-line cache hit/miss/DRAM charges. They keep
+	// Step within the compiler's inlining budget, so the dispatch loop's
+	// charges compile to straight-line adds rather than calls.
 	unit        [NumOps]unitCost
 	hitU, missU unitCost
 	dramPerMiss Joules
+}
+
+// unitCost is one precomputed single-charge delta: the exact Joules and
+// cycles Step(op, 1) would add.
+type unitCost struct {
+	j Joules
+	c float64
+}
+
+// bindUnits folds a cost table into its per-op unit deltas.
+func bindUnits(t *CostTable) (units [NumOps]unitCost) {
+	for op := 0; op < NumOps; op++ {
+		units[op] = unitCost{j: Picojoules(t.Ops[op].Picojoules), c: t.Ops[op].Cycles}
+	}
+	return units
 }
 
 // NewMeter builds a meter over the given cost table and the default cache
@@ -59,46 +68,36 @@ func NewMeterCache(costs CostTable, cache CacheConfig) *Meter {
 	if err := costs.Validate(); err != nil {
 		panic(err)
 	}
-	m := &Meter{
-		costs:      costs,
-		cache:      NewCache(cache),
-		heapCursor: 1 << 20, // keep address 0 unused
-		fast:       FastPathOn(),
+	return &Meter{
+		costs:       costs,
+		cache:       NewCache(cache),
+		heapCursor:  1 << 20, // keep address 0 unused
+		unit:        bindUnits(&costs),
+		hitU:        unitCost{j: Picojoules(costs.CacheHit.Picojoules), c: costs.CacheHit.Cycles},
+		missU:       unitCost{j: Picojoules(costs.CacheMiss.Picojoules), c: costs.CacheMiss.Cycles},
+		dramPerMiss: Joules(costs.DRAMJoulesPerMiss),
 	}
-	m.fastN = math.MinInt // matches no real count: Step always takes stepSlow
-	if m.fast {
-		m.fastN = 1
-	}
-	m.unit = bindUnits(&costs)
-	m.hitU = unitCost{j: Picojoules(costs.CacheHit.Picojoules), c: costs.CacheHit.Cycles}
-	m.missU = unitCost{j: Picojoules(costs.CacheMiss.Picojoules), c: costs.CacheMiss.Cycles}
-	m.dramPerMiss = Joules(costs.DRAMJoulesPerMiss)
-	return m
 }
 
 // Costs returns the meter's cost table.
 func (m *Meter) Costs() CostTable { return m.costs }
 
-// FastPath reports whether this meter charges through the precomputed fast
-// path (JEPO_METER_FASTPATH at construction time).
-func (m *Meter) FastPath() bool { return m.fast }
-
 // Step charges n occurrences of op. The n==1 case — the dispatch loop's
-// shape — adds the precomputed unit delta; larger counts recompute the
-// product exactly as the slow path always has.
+// shape — adds the precomputed unit delta; any other count computes the
+// product in stepN.
 func (m *Meter) Step(op Op, n int) {
-	if n == m.fastN {
+	if n == 1 {
 		m.coreJ += m.unit[op].j
 		m.cycles += m.unit[op].c
 		m.opCounts[op]++
 		return
 	}
-	m.stepSlow(op, n)
+	m.stepN(op, n)
 }
 
-// stepSlow is the reference charge path: per-call table lookup and product.
-// The fast paths must be indistinguishable from it bit for bit.
-func (m *Meter) stepSlow(op Op, n int) {
+// stepN charges n occurrences of op as one table lookup and product.
+// Non-positive counts charge nothing.
+func (m *Meter) stepN(op Op, n int) {
 	if n <= 0 {
 		return
 	}
@@ -128,45 +127,29 @@ func (m *Meter) StepList(charges []Charge) {
 	}
 }
 
-// StepRun replays a bound charge list (CostTable.BindSteps) — the same
-// per-entry additions StepList performs, with each entry's product already
-// folded. The deltas must have been bound against this meter's cost table;
-// callers that cannot prove that fall back to StepList.
-func (m *Meter) StepRun(deltas []StepDelta) {
-	for i := range deltas {
-		d := &deltas[i]
-		m.coreJ += d.CoreJ
-		m.cycles += d.Cycles
-		m.opCounts[d.Op] += d.N
-	}
-}
-
 // Access routes a memory access of size bytes at addr through the cache model
 // and charges the hit/miss costs. The single-line case (any access that does
 // not span a line boundary) is charged through the unit deltas; spanning
-// accesses take the general batched path.
+// accesses take the batched accessLines.
 func (m *Meter) Access(addr uint64, size int) {
-	if m.fast {
-		c := m.cache
-		if size > 0 && (addr+uint64(size)-1)>>c.lineBits == addr>>c.lineBits {
-			if m.cache.touch(addr >> c.lineBits) {
-				m.coreJ += m.hitU.j
-				m.cycles += m.hitU.c
-			} else {
-				m.coreJ += m.missU.j
-				m.cycles += m.missU.c
-				m.dramJ += m.dramPerMiss
-			}
-			return
+	if size > 0 && (addr+uint64(size)-1)>>m.cache.lineBits == addr>>m.cache.lineBits {
+		if m.cache.touch(addr >> m.cache.lineBits) {
+			m.coreJ += m.hitU.j
+			m.cycles += m.hitU.c
+		} else {
+			m.coreJ += m.missU.j
+			m.cycles += m.missU.c
+			m.dramJ += m.dramPerMiss
 		}
+		return
 	}
-	m.accessSlow(addr, size)
+	m.accessLines(addr, size)
 }
 
-// accessSlow is the reference access path: batched hit/miss charges over
-// however many lines the access covered. For a single-line access the fast
-// path adds the identical bits: hits and misses are 0 or 1, and x*1.0 == x.
-func (m *Meter) accessSlow(addr uint64, size int) {
+// accessLines charges an access of any shape: batched hit/miss products over
+// however many lines it covered. For a single-line access the unit deltas
+// add the identical bits: hits and misses are 0 or 1, and x*1.0 == x.
+func (m *Meter) accessLines(addr uint64, size int) {
 	lines, missed := m.cache.Access(addr, size)
 	hits := lines - missed
 	if hits > 0 {
@@ -180,51 +163,11 @@ func (m *Meter) accessSlow(addr uint64, size int) {
 	}
 }
 
-// AccessRun charges count accesses of size bytes at base, base+stride,
-// base+2·stride, … — exactly the charge sequence of count individual Access
-// calls, in one call: per access, the cache transition, then its hit or miss
-// charge, in address order. Batched clients (array initialisation sweeps,
-// replay harnesses) use it to shed the per-access call and branch overhead;
-// the interleaving of hit and miss charges is preserved access by access
-// because the order of float additions is observable in the joule bits.
-func (m *Meter) AccessRun(base, stride uint64, count, size int) {
-	if !m.fast {
-		for k := 0; k < count; k++ {
-			m.accessSlow(base+uint64(k)*stride, size)
-		}
-		return
-	}
-	c := m.cache
-	span := uint64(size)
-	addr := base
-	for k := 0; k < count; k++ {
-		if size > 0 && (addr+span-1)>>c.lineBits == addr>>c.lineBits {
-			if m.cache.touch(addr >> c.lineBits) {
-				m.coreJ += m.hitU.j
-				m.cycles += m.hitU.c
-			} else {
-				m.coreJ += m.missU.j
-				m.cycles += m.missU.c
-				m.dramJ += m.dramPerMiss
-			}
-		} else {
-			m.accessSlow(addr, size)
-		}
-		addr += stride
-	}
-}
-
 // ArrayAccess charges one array-element access: the element step, the bounds
 // check and the memory access, in that order — the fixed sequence of the
 // interpreter's indexed load/store paths (OpLoadIndexL and friends),
 // flattened into one concrete call.
 func (m *Meter) ArrayAccess(addr uint64, size int) {
-	if !m.fast {
-		m.stepSlow(OpArrayElem, 1)
-		m.stepSlow(OpBoundsCheck, 1)
-		m.accessSlow(addr, size)
-		return
-	}
 	u := &m.unit[OpArrayElem]
 	m.coreJ += u.j
 	m.cycles += u.c
@@ -244,17 +187,12 @@ func (m *Meter) ArrayAccess(addr uint64, size int) {
 		}
 		return
 	}
-	m.accessSlow(addr, size)
+	m.accessLines(addr, size)
 }
 
 // FieldAccess charges one instance-field access: the field step then the
 // 8-byte slot access — the fixed sequence of every field load/store lane.
 func (m *Meter) FieldAccess(addr uint64) {
-	if !m.fast {
-		m.stepSlow(OpField, 1)
-		m.accessSlow(addr, 8)
-		return
-	}
 	u := &m.unit[OpField]
 	m.coreJ += u.j
 	m.cycles += u.c
@@ -273,11 +211,6 @@ func (m *Meter) FieldAccess(addr uint64) {
 // StaticAccess charges one static-field access: the static step then the
 // 8-byte slot access — the fixed sequence of every static load/store lane.
 func (m *Meter) StaticAccess(addr uint64) {
-	if !m.fast {
-		m.stepSlow(OpStatic, 1)
-		m.accessSlow(addr, 8)
-		return
-	}
 	u := &m.unit[OpStatic]
 	m.coreJ += u.j
 	m.cycles += u.c

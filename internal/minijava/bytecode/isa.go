@@ -442,22 +442,6 @@ type Func struct {
 type ChargeRun struct {
 	Steps   int32
 	Charges []energy.Charge
-
-	// Deltas is Charges bound against a cost table (Func.BindCosts): one
-	// precomputed StepDelta per effective charge, replayed add-only by
-	// Meter.StepRun. nil until bound; the VM falls back to StepList over
-	// Charges when its meter's cost table is not the bound one.
-	Deltas []energy.StepDelta
-}
-
-// BindCosts precomputes every charge run's step deltas against t, so replay
-// under a meter using the same table is add-only. Binding is idempotent and
-// must happen before the Func is shared across goroutines — Load does it once
-// per program, never after.
-func (fn *Func) BindCosts(t *energy.CostTable) {
-	for i := range fn.Runs {
-		fn.Runs[i].Deltas = t.BindSteps(fn.Runs[i].Charges)
-	}
 }
 
 // LiteralCharge reports the meter charge evaluating a literal issues — the

@@ -102,11 +102,6 @@ func makeConstVals(lits []*ast.Literal) []constVal {
 // carrying the AST-level probe pattern are compiled from their inner block
 // with probe opcodes spliced in — the bytecode instrumentation mode.
 func compileProgram(p *Program) {
-	// Bind charge runs against the default cost table while the Program is
-	// still private to Load: once it is shared across Interps (and
-	// goroutines) the compiled functions are immutable.
-	p.boundCosts = energy.DefaultCosts()
-	p.costsBound = true
 	for _, name := range p.order {
 		ci := p.classes[name]
 		for _, m := range ci.Decl.Methods {
@@ -129,7 +124,6 @@ func compileProgram(p *Program) {
 				// compile-time quickening, after probe splicing so probe
 				// opcodes bound the charge runs.
 				bytecode.Finalize(fn)
-				fn.BindCosts(&p.boundCosts)
 				cf.fn, cf.consts = fn, makeConstVals(fn.Consts)
 			}
 			p.funcs = append(p.funcs, cf)

@@ -42,13 +42,6 @@ type Interp struct {
 	engine       Engine
 	staticsReady bool
 
-	// runFast is true when the program's charge runs were bound against this
-	// meter's cost table (and the metering fast path is on): OpRunCharge
-	// replays the precomputed deltas instead of the charge list. The two
-	// replays are bit-identical; runFast only exists so a meter with a
-	// custom cost table silently gets the unbound path.
-	runFast bool
-
 	// vmTier selects the bytecode engine's optimization tier: 2 (default)
 	// runs the finalized stream with block charge pre-aggregation, 1 runs
 	// the raw tier-1 stream — the benchmark harness measures the split.
@@ -153,7 +146,6 @@ func New(prog *Program, meter *energy.Meter, opts ...Option) *Interp {
 		quick:      true,
 		ctxCheckAt: math.MaxInt64,
 		siteCache:  make([]siteState, len(prog.sites)),
-		runFast:    meter.FastPath() && prog.costsBound && meter.Costs() == prog.boundCosts,
 	}
 	for _, o := range opts {
 		o(in)

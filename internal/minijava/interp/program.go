@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 
-	"jepo/internal/energy"
 	"jepo/internal/minijava/ast"
 )
 
@@ -65,14 +64,6 @@ type Program struct {
 	// by the CIx annotations on methods (nil fn = no lowering, the
 	// tree-walker runs that method).
 	funcs []compiledFn
-
-	// boundCosts is the cost table every compiled function's charge runs
-	// were bound against at load time (Func.BindCosts). An Interp whose
-	// meter uses a different table replays runs through the unbound charges
-	// instead; binding happens once in Load, never after the Program is
-	// shared.
-	boundCosts energy.CostTable
-	costsBound bool
 }
 
 // progSiteKind classifies what a call/new/select site resolved to at load

@@ -223,9 +223,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			sp++
 		case bytecode.OpRunCharge:
 			// One pre-aggregated run: a single budget check for the summed
-			// steps, then the exact ordered replay of the folded charges —
-			// through the load-time-bound deltas when this meter is on the
-			// bound cost table, through the charge list otherwise.
+			// steps, then the exact ordered replay of the folded charges.
 			run := &fn.Runs[ins.A]
 			in.ops += int64(run.Steps)
 			if in.maxOps > 0 && in.ops > in.maxOps {
@@ -234,11 +232,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			if in.ops >= in.ctxCheckAt {
 				in.ctxCheckpoint()
 			}
-			if in.runFast {
-				meter.StepRun(run.Deltas)
-			} else {
-				meter.StepList(run.Charges)
-			}
+			meter.StepList(run.Charges)
 		case bytecode.OpQBinIntLL, bytecode.OpQBinIntLC, bytecode.OpQBinInt:
 			// One arm for all three int-specialized binary forms; they only
 			// differ in where the operands come from. The charge sequence is

@@ -177,6 +177,18 @@ func TestHTTPErrors(t *testing.T) {
 	if resp, _ := do(t, "POST", ts.URL+"/v1/sessions/"+id+"/analyze", "{not json", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad body: status %d, want 400", resp.StatusCode)
 	}
+	// A negative op budget would switch the budget off: rejected before
+	// anything runs. The session holds a file so the budget is the only fault.
+	if resp, body := do(t, "PUT", ts.URL+"/v1/sessions/"+id+"/files/Work.java", workSrc, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("put file: %d %s", resp.StatusCode, body)
+	}
+	resp, body := do(t, "POST", ts.URL+"/v1/sessions/"+id+"/analyze", `{"max_ops":-1}`, nil)
+	var e struct {
+		Error string `json:"error"`
+	}
+	if resp.StatusCode != http.StatusBadRequest || json.Unmarshal([]byte(body), &e) != nil || e.Error == "" {
+		t.Errorf("max_ops -1: status %d body %q, want 400 with a JSON error", resp.StatusCode, body)
+	}
 	// Delete, then the session is gone.
 	if resp, _ := do(t, "DELETE", ts.URL+"/v1/sessions/"+id, "", nil); resp.StatusCode != http.StatusNoContent {
 		t.Errorf("delete session: status %d", resp.StatusCode)

@@ -273,13 +273,18 @@ type Request struct {
 	// knob: Output is bit-identical at any value.
 	Jobs int `json:"jobs,omitempty"`
 	// MaxOps is this request's op budget per measurement run (0 = service
-	// default). The budget is cache-key material: the same sources under a
+	// default; negative is rejected, since the interpreter reads it as no
+	// budget). The budget is cache-key material: the same sources under a
 	// different budget are distinct artifacts.
 	MaxOps int64 `json:"max_ops,omitempty"`
 }
 
-// resolve folds service defaults into the request.
+// resolve folds service defaults into the request. A negative op budget is
+// an error: the interpreter would run such a request unbounded.
 func (svc *Service) resolve(req Request) (eng interp.Engine, jobs int, maxOps int64, err error) {
+	if req.MaxOps < 0 {
+		return eng, 0, 0, fmt.Errorf("service: max_ops must be >= 0, got %d", req.MaxOps)
+	}
 	eng = svc.cfg.Engine
 	if req.Engine != "" {
 		eng, err = interp.ParseEngine(req.Engine)
