@@ -29,9 +29,10 @@ bench-passes:
 	go run ./cmd/jperf bench -passes -o BENCH_passes.json
 
 # Engine comparison benchmark: tree-walker vs bytecode VM wall clock over
-# the Table I corpus plus the probe-opcode overhead, written to BENCH_vm.json.
+# the Table I corpus plus the probe-opcode overhead, as per-call medians with
+# quartiles over 21 timed calls, written to BENCH_vm.json.
 bench-vm:
-	go run ./cmd/jperf bench -vm -o BENCH_vm.json
+	go run ./cmd/jperf bench -vm -r 21 -o BENCH_vm.json
 
 # Differential engine fuzz: the bytecode VM and the tree-walker must agree
 # bit-for-bit (results, output, op counts, Joules) on the Table I corpus and

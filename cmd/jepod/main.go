@@ -34,6 +34,10 @@ import (
 	"jepo/internal/service"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so idle or slow clients cannot hold connections open.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	fs := flag.NewFlagSet("jepod", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7361", "listen address")
@@ -70,6 +74,9 @@ func run(addr string, slots, maxQueue int, shared *cliconfig.Set) error {
 	srv := &http.Server{
 		Addr:    addr,
 		Handler: service.Handler(svc),
+		// Request bodies are bounded in size by the handler
+		// (service.MaxBodyBytes).
+		ReadHeaderTimeout: readHeaderTimeout,
 		// Every request inherits the daemon's root context, so a SIGINT
 		// cancels in-flight pipeline work (pools drain, interpreters abort
 		// at the next op-budget checkpoint) rather than orphaning it.

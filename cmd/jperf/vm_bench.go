@@ -5,6 +5,10 @@
 // simulated energy diverges between engines, so the trajectory file doubles
 // as a determinism check.
 //
+// Every call of the benchmark kernel is timed on its own, so each row reports
+// the median ns/op with its quartiles and sample count rather than a bare
+// mean.
+//
 // The report also measures the bytecode probe splice: an instrumented program
 // is run with probes as AST scaffolding (JEPO.enter/exit calls, which cost
 // modelled ops) and as spliced PROBE opcodes (which cost none), recording the
@@ -24,36 +28,31 @@ import (
 	"jepo/internal/instrument"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
+	"jepo/internal/stats"
 	"jepo/internal/tables"
 )
 
-// vmBenchPoint is one benchmark's engine comparison, measured at three VM
-// configurations against the tree-walker baseline: tier 1 (the raw stream as
-// compiled, no finalization), tier 2 with runtime quickening disabled (block
-// charge pre-aggregation and compile-time pins only) and tier 2 in full
-// (runtime quickening and inline caches on — the default engine). The two
-// gain columns split tier 2's win over tier 1 between its static and its
-// runtime half; both are percentages of the tier-1 time.
+// vmBenchPoint is one benchmark's engine comparison: the bytecode VM against
+// the tree-walker baseline, each as the median ns per call of B.f with the
+// interquartile range over N timed calls.
 type vmBenchPoint struct {
-	Name           string  `json:"name"`
-	Runs           int     `json:"runs"`
-	ASTNsPerOp     float64 `json:"ast_ns_per_op"`
-	Tier1NsPerOp   float64 `json:"vm_tier1_ns_per_op"`
-	NoQuickNsPerOp float64 `json:"vm_tier2_noquick_ns_per_op"`
-	VMNsPerOp      float64 `json:"vm_ns_per_op"` // tier 2 full
-	ASTAllocsOp    float64 `json:"ast_allocs_per_op"`
-	VMAllocsOp     float64 `json:"vm_allocs_per_op"`
-	UJPerOp        float64 `json:"uj_per_op"`     // identical across engines by construction
-	Tier1Speedup   float64 `json:"tier1_speedup"` // ast_ns / tier1_ns
-	Speedup        float64 `json:"speedup"`       // ast_ns / vm_ns (tier 2 full)
-	Tier2VsTier1   float64 `json:"tier2_vs_tier1"`
-	AggGainPct     float64 `json:"block_agg_gain_pct"` // static half: 100*(t1-noquick)/t1
-	QuickGainPct   float64 `json:"quickening_gain_pct"`
-	EnergyEqual    bool    `json:"energy_equal"`
+	Name        string  `json:"name"`
+	N           int     `json:"n"`
+	ASTNsPerOp  float64 `json:"ast_ns_per_op"` // median
+	ASTNsQ1     float64 `json:"ast_ns_q1"`
+	ASTNsQ3     float64 `json:"ast_ns_q3"`
+	VMNsPerOp   float64 `json:"vm_ns_per_op"` // median
+	VMNsQ1      float64 `json:"vm_ns_q1"`
+	VMNsQ3      float64 `json:"vm_ns_q3"`
+	ASTAllocsOp float64 `json:"ast_allocs_per_op"`
+	VMAllocsOp  float64 `json:"vm_allocs_per_op"`
+	UJPerOp     float64 `json:"uj_per_op"` // identical across engines by construction
+	Speedup     float64 `json:"speedup"`   // ast median / vm median
+	EnergyEqual bool    `json:"energy_equal"`
 }
 
 // vmProbeOverhead quantifies the probe-opcode splice against the AST
-// scaffolding on one instrumented workload.
+// scaffolding on one instrumented workload. Times are medians per call.
 type vmProbeOverhead struct {
 	Name              string  `json:"name"`
 	PlainNsPerOp      float64 `json:"plain_ns_per_op"`          // VM, uninstrumented
@@ -66,21 +65,24 @@ type vmProbeOverhead struct {
 
 // vmBenchReport is the BENCH_vm.json document.
 type vmBenchReport struct {
-	GeneratedAt      string          `json:"generated_at"`
-	GoVersion        string          `json:"go_version"`
-	Benchmarks       []vmBenchPoint  `json:"benchmarks"`
-	MeanTier1Speedup float64         `json:"mean_tier1_speedup"`
-	MeanSpeedup      float64         `json:"mean_speedup"` // tier 2 full vs tree-walker
-	MeanTier2VsTier1 float64         `json:"mean_tier2_vs_tier1"`
-	ProbeOverhead    vmProbeOverhead `json:"probe_overhead"`
+	GeneratedAt   string          `json:"generated_at"`
+	GoVersion     string          `json:"go_version"`
+	NumCPU        int             `json:"num_cpu"`
+	Benchmarks    []vmBenchPoint  `json:"benchmarks"`
+	MeanSpeedup   float64         `json:"mean_speedup"` // geometric mean over rows
+	ProbeOverhead vmProbeOverhead `json:"probe_overhead"`
 }
 
 func runVMBench(out string, repeats int) error {
+	if repeats < 3 {
+		return fmt.Errorf("bench -vm needs at least 3 repeats for quartiles, got %d", repeats)
+	}
 	report := vmBenchReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
+		NumCPU:      runtime.NumCPU(),
 	}
-	logSpeedup, logT1, logT2v1 := 0.0, 0.0, 0.0
+	logSpeedup := 0.0
 	for _, b := range tables.InterpBenches() {
 		pt, err := runVMBenchOne(b, repeats)
 		if err != nil {
@@ -88,16 +90,10 @@ func runVMBench(out string, repeats int) error {
 		}
 		report.Benchmarks = append(report.Benchmarks, pt)
 		logSpeedup += math.Log(pt.Speedup)
-		logT1 += math.Log(pt.Tier1Speedup)
-		logT2v1 += math.Log(pt.Tier2VsTier1)
-		fmt.Printf("%-40s ast %11.0f   t1 %10.0f   t2 %10.0f ns/op   %.2fx (t1 %.2fx; agg %+.0f%% quick %+.0f%%)\n",
-			pt.Name, pt.ASTNsPerOp, pt.Tier1NsPerOp, pt.VMNsPerOp,
-			pt.Speedup, pt.Tier1Speedup, -pt.AggGainPct, -pt.QuickGainPct)
+		fmt.Printf("%-40s ast %11.0f [%.0f, %.0f]   vm %10.0f [%.0f, %.0f] ns/op   %.2fx\n",
+			pt.Name, pt.ASTNsPerOp, pt.ASTNsQ1, pt.ASTNsQ3, pt.VMNsPerOp, pt.VMNsQ1, pt.VMNsQ3, pt.Speedup)
 	}
-	n := float64(len(report.Benchmarks))
-	report.MeanSpeedup = math.Exp(logSpeedup / n)
-	report.MeanTier1Speedup = math.Exp(logT1 / n)
-	report.MeanTier2VsTier1 = math.Exp(logT2v1 / n)
+	report.MeanSpeedup = math.Exp(logSpeedup / float64(len(report.Benchmarks)))
 
 	po, err := runProbeOverhead(repeats)
 	if err != nil {
@@ -106,8 +102,7 @@ func runVMBench(out string, repeats int) error {
 	report.ProbeOverhead = po
 	fmt.Printf("%-40s plain %9.0f ns/op   probed %8.0f ns/op   %+.1f%% (avoids %.2f µJ/op of scaffolding)\n",
 		"probe opcodes ("+po.Name+")", po.PlainNsPerOp, po.OpcodeNsPerOp, po.OpcodeOverheadPct, po.AvoidedUJPerOp)
-	fmt.Printf("geometric mean speedup: %.2fx over the tree-walker (tier 1: %.2fx; tier 2 over tier 1: %.2fx)\n",
-		report.MeanSpeedup, report.MeanTier1Speedup, report.MeanTier2VsTier1)
+	fmt.Printf("geometric mean speedup: %.2fx over the tree-walker\n", report.MeanSpeedup)
 
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
@@ -121,41 +116,45 @@ func runVMBench(out string, repeats int) error {
 	return nil
 }
 
-// engineRun measures repeats warm calls of B.f under one engine, returning
-// wall ns/op, allocs/op and the exact simulated package energy delta. extra
-// options select VM tiers for the breakdown columns.
-func engineRun(src string, e interp.Engine, repeats int, extra ...interp.Option) (nsOp, allocsOp float64, pkg energy.Joules, err error) {
-	f, err := parser.Parse("bench.java", src)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	prog, err := interp.Load(f)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	opts := append([]interp.Option{
-		interp.WithMaxOps(2_000_000_000), interp.WithEngine(e)}, extra...)
-	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()), opts...)
+// timedCalls runs one untimed warmup call of B.f, then times repeats calls
+// one by one, returning the per-call wall times in ns, the allocations per
+// call and the exact simulated package energy of the timed calls.
+func timedCalls(in *interp.Interp, repeats int) (ns []float64, allocsOp float64, pkg energy.Joules, err error) {
 	if err := in.InitStatics(); err != nil {
-		return 0, 0, 0, err
+		return nil, 0, 0, err
 	}
 	if _, err := in.CallStatic("B", "f"); err != nil {
-		return 0, 0, 0, err
+		return nil, 0, 0, err
 	}
 	var ms0, ms1 runtime.MemStats
 	before := in.Meter().Snapshot()
 	runtime.ReadMemStats(&ms0)
-	t0 := time.Now()
-	for i := 0; i < repeats; i++ {
+	ns = make([]float64, repeats)
+	for i := range ns {
+		t0 := time.Now()
 		if _, err := in.CallStatic("B", "f"); err != nil {
-			return 0, 0, 0, err
+			return nil, 0, 0, err
 		}
+		ns[i] = float64(time.Since(t0).Nanoseconds())
 	}
-	wall := time.Since(t0)
 	runtime.ReadMemStats(&ms1)
 	d := in.Meter().Snapshot().Sub(before)
-	r := float64(repeats)
-	return float64(wall.Nanoseconds()) / r, float64(ms1.Mallocs-ms0.Mallocs) / r, d.Package, nil
+	return ns, float64(ms1.Mallocs-ms0.Mallocs) / float64(repeats), d.Package, nil
+}
+
+// engineRun measures repeats calls of B.f under one engine.
+func engineRun(src string, e interp.Engine, repeats int) (ns []float64, allocsOp float64, pkg energy.Joules, err error) {
+	f, err := parser.Parse("bench.java", src)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	prog, err := interp.Load(f)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()),
+		interp.WithMaxOps(2_000_000_000), interp.WithEngine(e))
+	return timedCalls(in, repeats)
 }
 
 func runVMBenchOne(b tables.InterpBench, repeats int) (vmBenchPoint, error) {
@@ -163,41 +162,33 @@ func runVMBenchOne(b tables.InterpBench, repeats int) (vmBenchPoint, error) {
 	if err != nil {
 		return vmBenchPoint{}, err
 	}
-	t1Ns, _, t1Pkg, err := engineRun(b.Src, interp.EngineVM, repeats, interp.WithVMTier(1))
-	if err != nil {
-		return vmBenchPoint{}, err
-	}
-	nqNs, _, nqPkg, err := engineRun(b.Src, interp.EngineVM, repeats, interp.WithQuickening(false))
-	if err != nil {
-		return vmBenchPoint{}, err
-	}
 	vmNs, vmAllocs, vmPkg, err := engineRun(b.Src, interp.EngineVM, repeats)
 	if err != nil {
 		return vmBenchPoint{}, err
 	}
-	// Every configuration must land on the same joule bits: tiers and
-	// quickening are dispatch engineering, never charge engineering.
-	if astPkg != vmPkg || astPkg != t1Pkg || astPkg != nqPkg {
-		return vmBenchPoint{}, fmt.Errorf("engines disagree on simulated energy: ast=%v tier1=%v noquick=%v vm=%v",
-			astPkg, t1Pkg, nqPkg, vmPkg)
+	// Both engines must land on the same joule bits: the VM is dispatch
+	// engineering, never charge engineering.
+	if astPkg != vmPkg {
+		return vmBenchPoint{}, fmt.Errorf("engines disagree on simulated energy: ast=%v vm=%v", astPkg, vmPkg)
 	}
-	return vmBenchPoint{
-		Name:           b.Name,
-		Runs:           repeats,
-		ASTNsPerOp:     astNs,
-		Tier1NsPerOp:   t1Ns,
-		NoQuickNsPerOp: nqNs,
-		VMNsPerOp:      vmNs,
-		ASTAllocsOp:    astAllocs,
-		VMAllocsOp:     vmAllocs,
-		UJPerOp:        float64(vmPkg) * 1e6 / float64(repeats),
-		Tier1Speedup:   astNs / t1Ns,
-		Speedup:        astNs / vmNs,
-		Tier2VsTier1:   t1Ns / vmNs,
-		AggGainPct:     100 * (t1Ns - nqNs) / t1Ns,
-		QuickGainPct:   100 * (nqNs - vmNs) / t1Ns,
-		EnergyEqual:    true,
-	}, nil
+	pt := vmBenchPoint{
+		Name:        b.Name,
+		N:           repeats,
+		ASTNsPerOp:  stats.Median(astNs),
+		VMNsPerOp:   stats.Median(vmNs),
+		ASTAllocsOp: astAllocs,
+		VMAllocsOp:  vmAllocs,
+		UJPerOp:     float64(vmPkg) * 1e6 / float64(repeats),
+		EnergyEqual: true,
+	}
+	if pt.ASTNsQ1, pt.ASTNsQ3, err = stats.Quartiles(astNs); err != nil {
+		return vmBenchPoint{}, err
+	}
+	if pt.VMNsQ1, pt.VMNsQ3, err = stats.Quartiles(vmNs); err != nil {
+		return vmBenchPoint{}, err
+	}
+	pt.Speedup = pt.ASTNsPerOp / pt.VMNsPerOp
+	return pt, nil
 }
 
 // countingHook is the cheapest possible probe consumer, so the overhead
@@ -219,8 +210,9 @@ const probeSrc = `class B {
 	}
 }`
 
-// probedRun parses probeSrc, optionally instruments it, and measures repeats
-// warm calls of B.f under the given engine with a counting hook installed.
+// probedRun parses probeSrc, optionally instruments it, and returns the
+// median ns per call of B.f under the given engine with a counting hook
+// installed, plus the package energy of the timed calls.
 func probedRun(e interp.Engine, instrumented bool, repeats int) (nsOp float64, pkg energy.Joules, err error) {
 	f, err := parser.Parse("probe.java", probeSrc)
 	if err != nil {
@@ -236,25 +228,14 @@ func probedRun(e interp.Engine, instrumented bool, repeats int) (nsOp float64, p
 	hook := &countingHook{}
 	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()),
 		interp.WithMaxOps(2_000_000_000), interp.WithEngine(e), interp.WithHook(hook))
-	if err := in.InitStatics(); err != nil {
+	ns, _, pkg, err := timedCalls(in, repeats)
+	if err != nil {
 		return 0, 0, err
 	}
-	if _, err := in.CallStatic("B", "f"); err != nil {
-		return 0, 0, err
-	}
-	before := in.Meter().Snapshot()
-	t0 := time.Now()
-	for i := 0; i < repeats; i++ {
-		if _, err := in.CallStatic("B", "f"); err != nil {
-			return 0, 0, err
-		}
-	}
-	wall := time.Since(t0)
-	d := in.Meter().Snapshot().Sub(before)
 	if instrumented && hook.enters == 0 {
 		return 0, 0, fmt.Errorf("probes never fired")
 	}
-	return float64(wall.Nanoseconds()) / float64(repeats), d.Package, nil
+	return stats.Median(ns), pkg, nil
 }
 
 func runProbeOverhead(repeats int) (vmProbeOverhead, error) {

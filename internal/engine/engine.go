@@ -12,10 +12,10 @@
 //   - AST masters are stored pristine (never interp.Load-ed) and every
 //     checkout is a deep clone, because both interp.Load and
 //     passes.ApplyFixes annotate/mutate ASTs in place;
-//   - compiled *interp.Program values are shared directly: per the VM's
-//     warm-copy design, instances patch private code copies and never the
-//     shared program, so one cached program can back any number of
-//     concurrent interpreters;
+//   - compiled *interp.Program values are shared directly: every VM
+//     instance executes the program's one finalized code stream read-only
+//     and keeps its caches and pools to itself, so one cached program can
+//     back any number of concurrent interpreters;
 //   - measurement samples are cached only for successful runs, keyed by the
 //     program content and the complete run configuration.
 //
@@ -230,9 +230,8 @@ func programKey(srcs []Source, instrumented bool) Key {
 
 // Program compiles (and optionally probe-instruments) the sources into a
 // cold *interp.Program. The returned program is shared across callers and
-// must not be re-Loaded or patched — interpreter instances already honor
-// this by quickening private code copies — so a hit is safe for any number
-// of concurrent interpreters.
+// must not be re-Loaded or patched — interpreter instances only ever read
+// its code — so a hit is safe for any number of concurrent interpreters.
 func (e *Engine) Program(srcs []Source, instrumented bool) (*interp.Program, error) {
 	build := func() (any, error) {
 		files, err := e.ParseAll(srcs)

@@ -5,11 +5,13 @@ import (
 	"jepo/internal/minijava/ast"
 )
 
-// This file is the tier-2 post-compilation pass: basic-block partitioning,
-// block charge pre-aggregation and compile-time quickening. Finalize runs
-// after probe injection (probes are block boundaries — the profiler snapshots
-// the meter at them, so no charge may move across one) and rewrites Func.Code
-// while keeping the original stream in Func.Raw for the tier-1 baseline.
+// This file is the post-compilation pass: basic-block partitioning, block
+// charge pre-aggregation and compile-time pins of resolver-resolved
+// identifiers. Finalize runs after probe injection (probes are block
+// boundaries — the profiler snapshots the meter at them, so no charge may
+// move across one) and rewrites Func.Code in place of the compiled stream.
+// The result is the one stream every interpreter instance executes; nothing
+// patches it afterwards.
 //
 // The aggregation is exact by construction, not by approximation:
 //
@@ -50,13 +52,11 @@ func runFoldable(ins *Instr) bool {
 	return false
 }
 
-// Finalize rewrites a compiled (and probe-injected) function into its tier-2
+// Finalize rewrites a compiled (and probe-injected) function into its final
 // form: leaders are computed, charge runs are folded into OpRunCharge,
-// load-resolved identifier reads are quickened at compile time, jump offsets
-// are remapped onto the shorter stream, and inline-cache slots are numbered.
-// The incoming stream is preserved as fn.Raw.
+// load-resolved identifier accesses are pinned to their slots, and jump
+// offsets are remapped onto the shorter stream.
 func Finalize(fn *Func) {
-	fn.Raw = fn.Code
 	code := fn.Code
 	n := len(code)
 
@@ -139,7 +139,7 @@ func Finalize(fn *Func) {
 		ins := code[pc]
 		switch ins.Op {
 		case OpLoadIdent:
-			// Compile-time quickening: the resolver already pinned these
+			// Compile-time pins: the resolver already resolved these
 			// loads; the guards stay in the handlers (out-of-range index,
 			// static context) and deopt to the full identifier ladder.
 			if id, ok := ins.Node.(*ast.Ident); ok {
@@ -195,15 +195,5 @@ func Finalize(fn *Func) {
 		}
 	}
 
-	// Number the inline-cache slots runtime quickening patches through.
-	var ics int32
-	for i := range newCode {
-		switch newCode[i].Op {
-		case OpCall, OpLoadSelect, OpLoadIdent:
-			newCode[i].C = ics
-			ics++
-		}
-	}
-
-	fn.Code, fn.Runs, fn.Blocks, fn.NICs = newCode, runs, blocks, ics
+	fn.Code, fn.Runs, fn.Blocks = newCode, runs, blocks
 }

@@ -206,7 +206,7 @@ const (
 	OpProbeEnter
 	OpProbeExit
 
-	// --- tier 2: block charge pre-aggregation (Finalize) ---
+	// --- Finalize: block charge pre-aggregation ---
 
 	// OpRunCharge charges Func.Runs[A]: the pre-aggregated step total and the
 	// ordered charge list of a maximal run of statically-known instructions
@@ -221,7 +221,7 @@ const (
 	// were folded into the preceding OpRunCharge of the same run.
 	OpQConst
 
-	// --- tier 2: compile-time quickening (Finalize) ---
+	// --- Finalize: compile-time pins of resolver-resolved identifiers ---
 
 	// OpQLoadStatic pushes the load-resolved static slot statRefs[A]
 	// (OpLoadIdent specialized on ast.ResStaticRef). Guard-and-deopt: an
@@ -241,57 +241,6 @@ const (
 	OpQStoreStaticX
 	OpQStoreField
 	OpQStoreFieldX
-
-	// --- tier 2: runtime quickening (per-Interp warm code copies) ---
-	//
-	// The opcodes below never appear in a shared Program: the VM installs
-	// them by patching its private copy of the code after first execution.
-	// C indexes the function's inline-cache table (Func.NICs entries); every
-	// quick form re-checks its guard and deopts to the generic opcode — which
-	// recomputes from scratch with the walker's own helpers — on a miss.
-
-	// OpQPushV pushes inline cache C's invariant value (a resolved class
-	// reference), charging nothing, exactly like evalIdent's ResClass case.
-	OpQPushV
-
-	// OpQGetField is OpLoadSelect specialized to an object receiver: the
-	// cache holds the receiver class and field slot index.
-	OpQGetField
-
-	// OpQGetStatic / OpQGetConst are OpLoadSelect specialized to a class-ref
-	// receiver resolved to a user static slot / builtin constant.
-	OpQGetStatic
-	OpQGetConst
-
-	// OpQArrLen is OpLoadSelect specialized to array .length.
-	OpQArrLen
-
-	// OpQCallSelf / OpQCallVirtual / OpQCallStatic are OpCall specialized to
-	// an unqualified call (guard: frame class), an instance call (guard:
-	// receiver class) and a load-resolved static call (guard: class name).
-	// The cache pins the resolved method and its compiled function, so the
-	// call skips the dispatch ladder and the pooled argument copy: the VM
-	// passes its operand-stack slice directly (the callee copies parameters
-	// into its own frame before executing).
-	OpQCallSelf
-	OpQCallVirtual
-	OpQCallStatic
-
-	// OpQCallBuiltin is OpCall specialized to a site-resolved builtin static
-	// call (guard: class name); OpQCallInstance to a builtin value-kind
-	// receiver (String, StringBuilder, box, throwable — guard: the kind is
-	// not a user object, class ref or null). Neither caches a resolution —
-	// the runtime dispatches on name strings either way — but both skip the
-	// generic path's pooled argument copy and dispatch ladder.
-	OpQCallBuiltin
-	OpQCallInstance
-
-	// OpQBinIntLL / OpQBinIntLC / OpQBinInt are the binary forms specialized
-	// to int operands with the arithmetic switch inlined in the handler
-	// (deopting on a non-int operand or non-int operator).
-	OpQBinIntLL
-	OpQBinIntLC
-	OpQBinInt
 
 	numOps
 )
@@ -364,19 +313,6 @@ var opNames = [...]string{
 	OpQStoreStaticX: "putstatic.x",
 	OpQStoreField:   "putself",
 	OpQStoreFieldX:  "putself.x",
-	OpQPushV:        "qpush",
-	OpQGetField:     "qgetfield",
-	OpQGetStatic:    "qgetstatic",
-	OpQGetConst:     "qgetconst",
-	OpQArrLen:       "qarrlen",
-	OpQCallSelf:     "qcall.self",
-	OpQCallVirtual:  "qcall.virt",
-	OpQCallStatic:   "qcall.static",
-	OpQCallBuiltin:  "qcall.builtin",
-	OpQCallInstance: "qcall.inst",
-	OpQBinIntLL:     "qbin.ll",
-	OpQBinIntLC:     "qbin.lc",
-	OpQBinInt:       "qbin",
 }
 
 func (o Op) String() string {
@@ -413,12 +349,6 @@ type Func struct {
 	// block of the AST-level instrumentation.
 	Probe string
 
-	// Raw is the tier-1 instruction stream as compiled (and probe-injected),
-	// before Finalize rewrote Code with block charge pre-aggregation and
-	// compile-time quickening. The VM runs it when tier 1 is selected, so the
-	// tier split can be benchmarked on one Program.
-	Raw []Instr
-
 	// Runs are the pre-aggregated charge runs OpRunCharge indexes.
 	Runs []ChargeRun
 
@@ -427,11 +357,6 @@ type Func struct {
 	// boundaries. The disassembler annotates them; charge runs never span
 	// them.
 	Blocks []int32
-
-	// NICs is the number of inline-cache slots quickened instructions index
-	// through their C operand; the VM sizes its per-instance cache table
-	// from it.
-	NICs int32
 }
 
 // ChargeRun is the pre-aggregated effect of one folded run of statically-known

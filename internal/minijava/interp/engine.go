@@ -51,7 +51,6 @@ func WithEngine(e Engine) Option { return func(in *Interp) { in.engine = e } }
 type compiledFn struct {
 	fn     *bytecode.Func
 	consts []constVal
-	ix     int32 // index in Program.funcs, for the per-Interp warm code table
 }
 
 // constVal is one pre-evaluated constant-pool entry. Splitting evalLiteral
@@ -118,11 +117,10 @@ func compileProgram(p *Program) {
 				fn = bytecode.Compile(ci.Name, m, nil)
 			}
 			m.CIx = int32(len(p.funcs) + 1)
-			cf := compiledFn{ix: int32(len(p.funcs))}
+			var cf compiledFn
 			if fn != nil {
-				// Tier-2 rewrite: block charge pre-aggregation and
-				// compile-time quickening, after probe splicing so probe
-				// opcodes bound the charge runs.
+				// Block charge pre-aggregation and compile-time pins, after
+				// probe splicing so probe opcodes bound the charge runs.
 				bytecode.Finalize(fn)
 				cf.fn, cf.consts = fn, makeConstVals(fn.Consts)
 			}
@@ -134,12 +132,6 @@ func compileProgram(p *Program) {
 // Disasm renders the whole program's compiled form — the `jperf disasm`
 // backend. Methods without a lowering are listed with a tree-walker marker.
 func (p *Program) Disasm() string {
-	return p.disasm(func(cf *compiledFn) string { return cf.fn.Disasm() })
-}
-
-// disasm walks the program's methods in deterministic order, rendering each
-// compiled one through render (shared by the cold and warm disassemblies).
-func (p *Program) disasm(render func(*compiledFn) string) string {
 	var b strings.Builder
 	for _, name := range p.order {
 		ci := p.classes[name]
@@ -148,7 +140,7 @@ func (p *Program) disasm(render func(*compiledFn) string) string {
 				continue
 			}
 			if ix := int(m.CIx) - 1; ix >= 0 && ix < len(p.funcs) && p.funcs[ix].fn != nil {
-				b.WriteString(render(&p.funcs[ix]))
+				b.WriteString(p.funcs[ix].fn.Disasm())
 			} else {
 				fmt.Fprintf(&b, "func %s.%s/%d  (tree-walker)\n", name, m.Name, len(m.Params))
 			}

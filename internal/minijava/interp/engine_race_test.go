@@ -13,12 +13,23 @@ import (
 
 // TestConcurrentInstancesShareProgram pins that a loaded Program (including
 // its compiled bytecode and constant pools) is safe to share across
-// interpreter instances: all mutable VM state — stacks, frame pools,
-// monomorphic caches, meters — is per-instance. The race detector turns any
+// interpreter instances: every instance executes the one finalized code
+// stream read-only, and all mutable VM state — stacks, frame pools,
+// call-site caches, meters — is per-instance. The race detector turns any
 // shared-state slip into a hard failure under scripts/check.sh's
 // `go test -race` gate.
+//
+// Each worker runs each program twice on one instance — the first run fills
+// the site caches and pools, the second executes against them — while every
+// other worker does the same concurrently. The bit-comparison (per run,
+// across workers) catches any nondeterminism warm state could introduce.
+// The "calls" program is call-, field- and builtin-heavy so the site caches
+// see every dispatch shape. (Neither program has static fields: static slots
+// live in the shared Program, so static-mutating programs are
+// single-instance.)
 func TestConcurrentInstancesShareProgram(t *testing.T) {
-	src := `class B {
+	programs := []struct{ name, src string }{
+		{"loops", `class B {
 		static double f() {
 			double s = 0.0;
 			int[] a = new int[16];
@@ -29,62 +40,8 @@ func TestConcurrentInstancesShareProgram(t *testing.T) {
 			}
 			return s;
 		}
-	}`
-	f, err := parser.Parse("race.java", src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range []Engine{EngineVM, EngineAST} {
-		engine := engine
-		t.Run(engine.String(), func(t *testing.T) {
-			const workers = 8
-			results := make([]uint64, workers)
-			joules := make([]uint64, workers)
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				w := w
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					in := New(prog, energy.NewMeter(energy.DefaultCosts()),
-						WithMaxOps(10_000_000), WithEngine(engine))
-					v, err := in.CallStatic("B", "f")
-					if err != nil {
-						t.Errorf("worker %d: %v", w, err)
-						return
-					}
-					results[w] = math.Float64bits(v.D)
-					joules[w] = math.Float64bits(float64(in.Meter().Snapshot().Package))
-				}()
-			}
-			wg.Wait()
-			for w := 1; w < workers; w++ {
-				if results[w] != results[0] || joules[w] != joules[0] {
-					t.Errorf("worker %d diverged: result %#x/%#x joules %#x/%#x",
-						w, results[w], results[0], joules[w], joules[0])
-				}
-			}
-		})
-	}
-}
-
-// TestConcurrentQuickeningSharesProgram pins tier 2's central thread-safety
-// claim: runtime quickening patches opcodes and fills inline caches only in
-// per-instance warm code copies, never in the shared Program. Each worker
-// runs a call/field/static/builtin-heavy program twice on one instance — the
-// first run installs the quick forms, the second executes them — while every
-// other worker does the same concurrently. The race detector catches any
-// write to shared state; the bit-comparison (per run, across workers) catches
-// any nondeterminism the patching could introduce. (The program deliberately
-// has no static fields: static slots live in the shared Program — a tier-1
-// design this PR does not change — so static-mutating programs are
-// single-instance, exactly as they were on the tree-walker.)
-func TestConcurrentQuickeningSharesProgram(t *testing.T) {
-	src := `class C {
+	}`},
+		{"calls", `class C {
 		int v;
 		C(int v0) { this.v = v0; }
 		int bump() { this.v += 3; return this.v; }
@@ -100,49 +57,57 @@ func TestConcurrentQuickeningSharesProgram(t *testing.T) {
 			}
 			return s + c.v;
 		}
-	}`
-	f, err := parser.Parse("race.java", src)
-	if err != nil {
-		t.Fatal(err)
+	}`},
 	}
-	prog, err := Load(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const workers = 8
-	const runs = 2
-	var results [workers][runs]uint64
-	var joules [workers][runs]uint64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			in := New(prog, energy.NewMeter(energy.DefaultCosts()), WithMaxOps(10_000_000))
-			if err := in.InitStatics(); err != nil {
-				t.Errorf("worker %d: init: %v", w, err)
-				return
+	for _, engine := range []Engine{EngineVM, EngineAST} {
+		engine := engine
+		t.Run(engine.String(), func(t *testing.T) {
+			for _, p := range programs {
+				p := p
+				t.Run(p.name, func(t *testing.T) {
+					f, err := parser.Parse("race.java", p.src)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prog, err := Load(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					const workers = 8
+					const runs = 2
+					var results [workers][runs]uint64
+					var joules [workers][runs]uint64
+					var wg sync.WaitGroup
+					for w := 0; w < workers; w++ {
+						w := w
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							in := New(prog, energy.NewMeter(energy.DefaultCosts()),
+								WithMaxOps(10_000_000), WithEngine(engine))
+							for r := 0; r < runs; r++ {
+								v, err := in.CallStatic("B", "f")
+								if err != nil {
+									t.Errorf("worker %d run %d: %v", w, r, err)
+									return
+								}
+								results[w][r] = math.Float64bits(v.D)
+								joules[w][r] = math.Float64bits(float64(in.Meter().Snapshot().Package))
+							}
+						}()
+					}
+					wg.Wait()
+					for w := 1; w < workers; w++ {
+						for r := 0; r < runs; r++ {
+							if results[w][r] != results[0][r] || joules[w][r] != joules[0][r] {
+								t.Errorf("worker %d run %d diverged: result %#x/%#x joules %#x/%#x",
+									w, r, results[w][r], results[0][r], joules[w][r], joules[0][r])
+							}
+						}
+					}
+				})
 			}
-			for r := 0; r < runs; r++ {
-				v, err := in.CallStatic("B", "f")
-				if err != nil {
-					t.Errorf("worker %d run %d: %v", w, r, err)
-					return
-				}
-				results[w][r] = math.Float64bits(v.D)
-				joules[w][r] = math.Float64bits(float64(in.Meter().Snapshot().Package))
-			}
-		}()
-	}
-	wg.Wait()
-	for w := 1; w < workers; w++ {
-		for r := 0; r < runs; r++ {
-			if results[w][r] != results[0][r] || joules[w][r] != joules[0][r] {
-				t.Errorf("worker %d run %d diverged: result %#x/%#x joules %#x/%#x",
-					w, r, results[w][r], results[0][r], joules[w][r], joules[0][r])
-			}
-		}
+		})
 	}
 }
 

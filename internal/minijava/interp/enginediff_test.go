@@ -6,7 +6,9 @@
 // over (a) the Table I benchmark corpus and (b) seeded randomly generated
 // programs exercising locals, statics, fields, arrays, loops, switches,
 // short-circuits, casts, calls and exception handling. Any divergence is a
-// compiler or dispatch bug, never acceptable drift.
+// compiler or dispatch bug, never acceptable drift. The observation and
+// comparison helpers live in agreement_test.go, shared with the untagged
+// FuzzEngineAgreement target.
 //
 // Run with:
 //
@@ -15,95 +17,12 @@ package interp_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
 
-	"jepo/internal/energy"
-	"jepo/internal/minijava/interp"
-	"jepo/internal/minijava/parser"
 	"jepo/internal/tables"
 )
-
-// observation is everything one engine run exposes.
-type observation struct {
-	errText string
-	kind    interp.Kind
-	i       int64
-	dBits   uint64
-	out     string
-	ops     int64
-	cycles  uint64 // Float64bits of the meter's cycle count
-	pkg     uint64 // Float64bits of package Joules
-	core    uint64
-}
-
-// observe runs class.method() twice on ONE engine instance — cold, then warm
-// — and captures an observation at each run boundary. The second VM run
-// executes this instance's quickened code copies and hits its filled inline
-// caches, so comparing both boundaries pins that runtime quickening never
-// shifts a result, an op count or an energy bit. (The two runs are not
-// expected to match each other: statics mutate across runs. Each boundary is
-// compared against the same boundary on the other engine.) A run that errors
-// ends the sequence — both engines must fail identically at the same point.
-func observe(t *testing.T, src, class, method string, e interp.Engine) []observation {
-	t.Helper()
-	f, err := parser.Parse("fuzz.java", src)
-	if err != nil {
-		t.Fatalf("parse: %v\nsource:\n%s", err, src)
-	}
-	prog, err := interp.Load(f)
-	if err != nil {
-		t.Fatalf("load: %v\nsource:\n%s", err, src)
-	}
-	in := interp.New(prog, energy.NewMeter(energy.DefaultCosts()),
-		interp.WithMaxOps(100_000_000), interp.WithEngine(e))
-	if err := in.InitStatics(); err != nil {
-		return []observation{{errText: "init: " + err.Error()}}
-	}
-	var obs []observation
-	for run := 0; run < 2; run++ {
-		var o observation
-		v, err := in.CallStatic(class, method)
-		if err != nil {
-			o.errText = err.Error()
-		}
-		s := in.Meter().Snapshot()
-		o.kind = v.K
-		o.i = v.I
-		o.dBits = math.Float64bits(v.D)
-		o.out = in.Output()
-		o.ops = in.Ops()
-		o.cycles = math.Float64bits(s.Cycles)
-		o.pkg = math.Float64bits(float64(s.Package))
-		o.core = math.Float64bits(float64(s.Core))
-		obs = append(obs, o)
-		if err != nil {
-			break
-		}
-	}
-	return obs
-}
-
-// diffEngines asserts observational identity of the two engines on src, at
-// both the cold and the warm run boundary.
-func diffEngines(t *testing.T, name, src, class, method string) {
-	t.Helper()
-	vm := observe(t, src, class, method, interp.EngineVM)
-	ast := observe(t, src, class, method, interp.EngineAST)
-	if len(vm) != len(ast) {
-		t.Errorf("%s: engines diverged in run count: vm %d, ast %d\nsource:\n%s",
-			name, len(vm), len(ast), src)
-		return
-	}
-	for i := range vm {
-		if vm[i] != ast[i] {
-			t.Errorf("%s: engines diverged on run %d\n  vm:  %+v\n  ast: %+v\nsource:\n%s",
-				name, i+1, vm[i], ast[i], src)
-		}
-	}
-}
 
 func TestEngineDiffTableICorpus(t *testing.T) {
 	for _, b := range tables.InterpBenches() {

@@ -27,6 +27,7 @@ type Interp struct {
 
 	maxOps int64 // 0 = unlimited
 	ops    int64
+	depth  int    // active method invocations, bounded by maxCallDepth
 	rngInt uint64 // deterministic LCG for Math.random
 
 	// ctx, when set, lets a long run be cancelled or deadlined mid-flight.
@@ -41,20 +42,6 @@ type Interp struct {
 
 	engine       Engine
 	staticsReady bool
-
-	// vmTier selects the bytecode engine's optimization tier: 2 (default)
-	// runs the finalized stream with block charge pre-aggregation, 1 runs
-	// the raw tier-1 stream — the benchmark harness measures the split.
-	// quick enables runtime quickening and inline-cache patching on
-	// per-instance code copies (tier 2 only).
-	vmTier int
-	quick  bool
-
-	// warm holds this instance's private copies of compiled code, created on
-	// first invocation per function. Quickening patches opcodes and fills
-	// inline caches in these copies only, so instances sharing a Program
-	// never write shared memory — race-free by construction.
-	warm []warmState
 
 	// siteCache holds per-interpreter monomorphic inline caches, indexed by
 	// the SiteIx annotations the resolver leaves on Call/Select nodes. The
@@ -111,39 +98,12 @@ func WithContext(ctx context.Context) Option {
 	}
 }
 
-// WithVMTier selects the bytecode engine's optimization tier: 1 is the
-// generic-dispatch baseline (no block charge aggregation, no quickening),
-// 2 (the default) is the full tier. Both tiers charge identical energy bits;
-// the split exists so the benchmark harness can attribute the speedup.
-func WithVMTier(t int) Option {
-	return func(in *Interp) {
-		if t <= 1 {
-			in.vmTier, in.quick = 1, false
-		} else {
-			in.vmTier = 2
-		}
-	}
-}
-
-// WithQuickening toggles runtime quickening and inline-cache patching within
-// tier 2 — the benchmark harness turns it off to measure the block
-// aggregation contribution alone. It has no effect on tier 1.
-func WithQuickening(on bool) Option {
-	return func(in *Interp) {
-		if in.vmTier >= 2 {
-			in.quick = on
-		}
-	}
-}
-
 // New builds an interpreter for prog charging energy to meter.
 func New(prog *Program, meter *energy.Meter, opts ...Option) *Interp {
 	in := &Interp{
 		prog:       prog,
 		meter:      meter,
 		rngInt:     0x9E3779B97F4A7C15,
-		vmTier:     2,
-		quick:      true,
 		ctxCheckAt: math.MaxInt64,
 		siteCache:  make([]siteState, len(prog.sites)),
 	}
@@ -554,6 +514,24 @@ func (in *Interp) opBudgetExceeded() {
 	panic(bugPanic{fmt.Sprintf("op budget of %d exceeded (likely an infinite loop)", in.maxOps)})
 }
 
+// maxCallDepth bounds nested method invocations. Unbounded recursion would
+// otherwise exhaust the Go stack, which is a fatal error no recover can
+// catch, long before a typical op budget runs out. The check happens before
+// a call charges anything, so both engines fail at the same point.
+const maxCallDepth = 10_000
+
+//go:noinline
+func (in *Interp) callDepthExceeded() {
+	panic(bugPanic{fmt.Sprintf("call depth of %d exceeded (likely unbounded recursion)", maxCallDepth)})
+}
+
+// leave ends a tree-walked invocation: it returns the frame's slots to the
+// pool and pops the call depth.
+func (in *Interp) leave(locals []cell) {
+	in.depth--
+	in.releaseLocals(locals)
+}
+
 // ctxCheckpoint polls the installed context and re-arms the next poll point.
 // It charges nothing to the meter — cancellation never perturbs the energy
 // accounting of runs that complete.
@@ -825,6 +803,9 @@ func (in *Interp) evalCond(fr *frame, e ast.Expr) bool {
 // array comes from the free list and is returned on the way out, including
 // when a mini-Java exception unwinds through the call.
 func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Value) Value {
+	if in.depth >= maxCallDepth {
+		in.callDepthExceeded()
+	}
 	if in.engine == EngineVM {
 		if ix := int(m.CIx) - 1; uint(ix) < uint(len(in.prog.funcs)) {
 			if cf := &in.prog.funcs[ix]; cf.fn != nil {
@@ -838,7 +819,8 @@ func (in *Interp) invoke(ci *classInfo, this *Object, m *ast.Method, args []Valu
 		nslots = len(m.Params) // unresolved method; should not happen
 	}
 	fr := frame{class: ci, this: this, locals: in.grabLocals(nslots)}
-	defer in.releaseLocals(fr.locals)
+	in.depth++
+	defer in.leave(fr.locals)
 	for i := range m.Params {
 		p := &m.Params[i]
 		pk := kindOfType(p.Type)

@@ -16,19 +16,11 @@ import (
 // walker's own helpers (selectFrom, writeLValue, dispatchCall, coerceTo, ...)
 // so the charge sequences are shared code, not transcriptions.
 //
-// Tier 2 adds three mechanisms on top, all charge-transparent:
-//
-//   - OpRunCharge replays a basic block's pre-aggregated charge run — the
-//     exact ordered Step sequence of the folded instructions (see
-//     bytecode.Finalize).
-//   - Runtime quickening: generic handlers patch their instruction (in this
-//     instance's private code copy only) into a specialized form after first
-//     execution. Every quick handler re-checks its guard and deopts by
-//     flipping the opcode back and re-entering the dispatch switch via the
-//     `dispatch` label — without re-counting the instruction's steps.
-//   - Monomorphic inline caches (vmIC) pin resolved methods, field offsets
-//     and static slots per site; a guard miss re-resolves through the same
-//     lookups the generic path uses, so behaviour is identical.
+// Every instance executes the shared, finalized fn.Code and never writes to
+// it, so instances over one Program share no mutable code state. The
+// finalizer's OpRunCharge replays a basic block's pre-aggregated charge run —
+// the exact ordered Step sequence of the folded instructions (see
+// bytecode.Finalize) — so it is charge-transparent too.
 
 // invokeVM runs a compiled method. It mirrors invoke exactly: the call
 // charge, parameter coercion into pooled frame slots, and return-value
@@ -36,17 +28,11 @@ import (
 func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compiledFn, args []Value) Value {
 	fn := cf.fn
 	in.meter.Step(energy.OpCall, 1)
-	code := fn.Code
-	var ics []vmIC
-	if in.quick {
-		w := in.warmFor(cf)
-		code, ics = w.code, w.ics
-	} else if in.vmTier < 2 {
-		code = fn.Raw
-	}
 	fr := frame{class: ci, this: this, locals: in.grabLocals(fn.NSlots)}
 	stack := in.grabStack(fn.MaxStack)
+	in.depth++
 	defer func() {
+		in.depth--
 		in.releaseLocals(fr.locals)
 		in.releaseStack(stack)
 	}()
@@ -62,9 +48,9 @@ func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compi
 	var ret Value
 	var explicit bool
 	if fn.Probe != "" && in.hook != nil {
-		ret, explicit = in.execVMProbed(cf, code, ics, &fr, stack)
+		ret, explicit = in.execVMProbed(cf, &fr, stack)
 	} else {
-		ret, explicit = in.execVM(cf, code, ics, &fr, stack)
+		ret, explicit = in.execVM(cf, &fr, stack)
 	}
 	if explicit {
 		if m.Ret.Kind != ast.Void || m.Ret.Dims > 0 {
@@ -78,7 +64,7 @@ func (in *Interp) invokeVM(ci *classInfo, this *Object, m *ast.Method, cf *compi
 // contract: a mini-Java exception leaving the frame fires the exit hook (the
 // AST instrumentation's finally block), while interpreter-level errors do not
 // (runProtected never catches those either).
-func (in *Interp) execVMProbed(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *frame, stack []Value) (Value, bool) {
+func (in *Interp) execVMProbed(cf *compiledFn, fr *frame, stack []Value) (Value, bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(javaPanic); ok {
@@ -87,7 +73,7 @@ func (in *Interp) execVMProbed(cf *compiledFn, code []bytecode.Instr, ics []vmIC
 			panic(r)
 		}
 	}()
-	return in.execVM(cf, code, ics, fr, stack)
+	return in.execVM(cf, fr, stack)
 }
 
 // liveCell returns the live cell at a compiled slot operand, or nil when the
@@ -158,34 +144,16 @@ func vmIntFast(in *Interp, op token.Kind, a, b int64) (Value, bool) {
 	return Value{}, false
 }
 
-// intLaneOp reports whether the int-specialized quick handlers implement op.
-// It must cover exactly the operator set of binaryFast's KInt lane (which the
-// handlers inline), so an installed OpQBinInt* can never meet an operator it
-// has no lane for.
-func intLaneOp(op token.Kind) bool {
-	switch op {
-	case token.Plus, token.Minus, token.Star, token.Slash, token.Percent,
-		token.Lt, token.Le, token.Gt, token.Ge, token.Eq, token.Ne,
-		token.BitAnd, token.BitOr, token.BitXor, token.Shl, token.Shr:
-		return true
-	}
-	return false
-}
-
 // execVM is the dispatch loop. The boolean result reports whether the method
 // completed through an explicit return statement (which triggers invoke's
 // return-value coercion) as opposed to falling off the end of the body.
 //
-// code is either the shared finalized stream (fn.Code), the shared tier-1
-// stream (fn.Raw), or — when quickening is on — this instance's private warm
-// copy, with ics its inline-cache table. Handlers only ever patch opcodes
-// when in.quick is set, which implies code is the private copy.
-//
 // Identifier operands are read inline (liveCell + the walker's local charge)
 // so the hot path does no interface type assertion; the assertions happen
 // only on the slow resolution ladder.
-func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *frame, stack []Value) (Value, bool) {
+func (in *Interp) execVM(cf *compiledFn, fr *frame, stack []Value) (Value, bool) {
 	fn := cf.fn
+	code := fn.Code
 	meter := in.meter
 	consts := cf.consts
 	pc, sp := 0, 0
@@ -200,7 +168,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				in.ctxCheckpoint()
 			}
 		}
-	dispatch:
 		switch ins.Op {
 		case bytecode.OpLoadLocal:
 			if c := liveCell(fr, ins.A); c != nil {
@@ -233,112 +200,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				in.ctxCheckpoint()
 			}
 			meter.StepList(run.Charges)
-		case bytecode.OpQBinIntLL, bytecode.OpQBinIntLC, bytecode.OpQBinInt:
-			// One arm for all three int-specialized binary forms; they only
-			// differ in where the operands come from. The charge sequence is
-			// operand charges (locals/consts as the generic forms issue
-			// them), then exactly one arithmetic charge — binaryFast's KInt
-			// lane with the Step hoisted out of the operator switch.
-			var a, b int64
-			if ins.Op == bytecode.OpQBinInt {
-				y := stack[sp-1]
-				x := stack[sp-2]
-				if x.K != KInt || y.K != KInt {
-					ins.Op = bytecode.OpBinary
-					goto dispatch
-				}
-				sp -= 2
-				a, b = x.I, y.I
-			} else {
-				ca := liveCell(fr, ins.A)
-				if ca == nil || ca.v.K != KInt {
-					if ins.Op == bytecode.OpQBinIntLL {
-						ins.Op = bytecode.OpBinLL
-					} else {
-						ins.Op = bytecode.OpBinLC
-					}
-					goto dispatch
-				}
-				if ins.Op == bytecode.OpQBinIntLC {
-					cv := &consts[ins.B]
-					meter.Step(energy.OpLocal, 1)
-					if cv.charge {
-						meter.Step(cv.op, 1)
-					}
-					b = cv.v.I
-				} else {
-					cb := liveCell(fr, ins.B)
-					if cb == nil || cb.v.K != KInt {
-						ins.Op = bytecode.OpBinLL
-						goto dispatch
-					}
-					meter.Step(energy.OpLocal, 1)
-					meter.Step(energy.OpLocal, 1)
-					b = cb.v.I
-				}
-				a = ca.v.I
-			}
-			var v Value
-			switch ins.Tok {
-			case token.Slash, token.Percent:
-				// Division cost before the zero check, like binaryFast.
-				if ins.Tok == token.Slash {
-					meter.Step(energy.OpDivInt, 1)
-				} else {
-					meter.Step(energy.OpModInt, 1)
-				}
-				if b == 0 {
-					in.throw("ArithmeticException", "/ by zero")
-				}
-				if ins.Tok == token.Slash {
-					v = IntVal(a / b)
-				} else {
-					v = IntVal(a % b)
-				}
-			default:
-				meter.Step(energy.OpArithInt, 1)
-				switch ins.Tok {
-				case token.Plus:
-					v = IntVal(a + b)
-				case token.Minus:
-					v = IntVal(a - b)
-				case token.Star:
-					v = IntVal(a * b)
-				case token.Lt:
-					v = BoolVal(a < b)
-				case token.Le:
-					v = BoolVal(a <= b)
-				case token.Gt:
-					v = BoolVal(a > b)
-				case token.Ge:
-					v = BoolVal(a >= b)
-				case token.Eq:
-					v = BoolVal(a == b)
-				case token.Ne:
-					v = BoolVal(a != b)
-				case token.BitAnd:
-					v = IntVal(a & b)
-				case token.BitOr:
-					v = IntVal(a | b)
-				case token.BitXor:
-					v = IntVal(a ^ b)
-				case token.Shl:
-					v = IntVal(a << uint(b&63))
-				default: // token.Shr — intLaneOp admits nothing else
-					v = IntVal(a >> uint(b&63))
-				}
-			}
-			stack[sp] = v
-			sp++
 		case bytecode.OpBinLL:
-			if in.quick && intLaneOp(ins.Tok) {
-				if ca := liveCell(fr, ins.A); ca != nil && ca.v.K == KInt {
-					if cb := liveCell(fr, ins.B); cb != nil && cb.v.K == KInt {
-						ins.Op = bytecode.OpQBinIntLL
-						goto dispatch
-					}
-				}
-			}
 			var x, y Value
 			if c := liveCell(fr, ins.A); c != nil {
 				meter.Step(energy.OpLocal, 1)
@@ -366,12 +228,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 			stack[sp] = v
 			sp++
 		case bytecode.OpBinLC:
-			if in.quick && intLaneOp(ins.Tok) && consts[ins.B].v.K == KInt {
-				if ca := liveCell(fr, ins.A); ca != nil && ca.v.K == KInt {
-					ins.Op = bytecode.OpQBinIntLC
-					goto dispatch
-				}
-			}
 			var x Value
 			if c := liveCell(fr, ins.A); c != nil {
 				meter.Step(energy.OpLocal, 1)
@@ -399,10 +255,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 		case bytecode.OpBinary:
 			y := stack[sp-1]
 			x := stack[sp-2]
-			if in.quick && x.K == KInt && y.K == KInt && intLaneOp(ins.Tok) {
-				ins.Op = bytecode.OpQBinInt
-				goto dispatch
-			}
 			sp--
 			if x.K == KInt && y.K == KInt {
 				if v, ok := vmIntFast(in, ins.Tok, x.I, y.I); ok {
@@ -614,17 +466,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 		case bytecode.OpCall:
 			n := ins.Node.(*ast.Call)
 			argc := int(ins.A)
-			if in.quick {
-				// Quicken on the observed shape; the quick handler performs
-				// this very execution (installation charges nothing).
-				var recv Value
-				if ins.B != 0 {
-					recv = stack[sp-1-argc]
-				}
-				if in.quickenCall(ins, ics, fr, recv) {
-					goto dispatch
-				}
-			}
 			args := in.grabArgs(argc)
 			copy(args, stack[sp-argc:sp])
 			sp -= argc
@@ -635,82 +476,6 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				sp--
 			}
 			stack[sp] = in.dispatchCall(fr, n, recv, hasRecv, args)
-			sp++
-		case bytecode.OpQCallSelf:
-			// Unqualified call, cache keyed on the frame's dynamic class —
-			// the same key dispatchCall's site cache uses. The argument
-			// window is passed as a stack slice: the callee copies its
-			// parameters into frame slots before executing, so the window is
-			// dead by the time anything can overwrite it.
-			n := ins.Node.(*ast.Call)
-			argc := int(ins.A)
-			ic := &ics[ins.C]
-			if ic.class != fr.class {
-				in.icMissSelf(ic, fr, n, argc)
-			}
-			argv := stack[sp-argc : sp]
-			sp -= argc
-			var v Value
-			if ic.static {
-				v = in.icInvoke(ic, fr.class, nil, argv)
-			} else {
-				if fr.this == nil {
-					in.bugf(n.Pos, "instance method %s called from static context", n.Name)
-				}
-				v = in.icInvoke(ic, fr.this.Class, fr.this, argv)
-			}
-			stack[sp] = v
-			sp++
-		case bytecode.OpQCallVirtual:
-			argc := int(ins.A)
-			recv := stack[sp-1-argc]
-			if recv.K != KRef {
-				ins.Op = bytecode.OpCall
-				goto dispatch
-			}
-			obj := recv.R.(*Object)
-			ic := &ics[ins.C]
-			if ic.class != obj.Class {
-				in.icMissVirtual(ic, obj, ins.Node.(*ast.Call), argc)
-			}
-			argv := stack[sp-argc : sp]
-			sp -= argc + 1
-			stack[sp] = in.icInvoke(ic, obj.Class, obj, argv)
-			sp++
-		case bytecode.OpQCallStatic:
-			argc := int(ins.A)
-			recv := stack[sp-1-argc]
-			ic := &ics[ins.C]
-			if recv.K != KClassRef || recv.R.(string) != ic.cls {
-				ins.Op = bytecode.OpCall
-				goto dispatch
-			}
-			argv := stack[sp-argc : sp]
-			sp -= argc + 1
-			stack[sp] = in.icInvoke(ic, ic.class, nil, argv)
-			sp++
-		case bytecode.OpQCallBuiltin:
-			argc := int(ins.A)
-			recv := stack[sp-1-argc]
-			ic := &ics[ins.C]
-			if recv.K != KClassRef || recv.R.(string) != ic.cls {
-				ins.Op = bytecode.OpCall
-				goto dispatch
-			}
-			argv := stack[sp-argc : sp]
-			sp -= argc + 1
-			stack[sp] = in.callQBuiltinStatic(ic.cls, ins.Node.(*ast.Call), argv)
-			sp++
-		case bytecode.OpQCallInstance:
-			argc := int(ins.A)
-			recv := stack[sp-1-argc]
-			if recv.K == KRef || recv.K == KClassRef || recv.K == KNull {
-				ins.Op = bytecode.OpCall
-				goto dispatch
-			}
-			argv := stack[sp-argc : sp]
-			sp -= argc + 1
-			stack[sp] = in.callQBuiltinInstance(recv, ins.Node.(*ast.Call), argv)
 			sp++
 		case bytecode.OpLoadIndex:
 			iv := stack[sp-1]
@@ -822,49 +587,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				sp++
 			}
 		case bytecode.OpLoadSelect:
-			if in.quick && in.quickenSelect(ins, ics, stack[sp-1]) {
-				goto dispatch
-			}
 			stack[sp-1] = in.selectFrom(stack[sp-1], ins.Node.(*ast.Select))
-		case bytecode.OpQGetField:
-			x := stack[sp-1]
-			if x.K != KRef {
-				ins.Op = bytecode.OpLoadSelect
-				goto dispatch
-			}
-			obj := x.R.(*Object)
-			ic := &ics[ins.C]
-			if ic.class != obj.Class {
-				in.icMissField(ic, obj, ins.Node.(*ast.Select))
-			}
-			meter.FieldAccess(obj.Base + 16 + uint64(8*ic.ix))
-			stack[sp-1] = obj.Slots[ic.ix]
-		case bytecode.OpQGetStatic:
-			x := stack[sp-1]
-			ic := &ics[ins.C]
-			if x.K != KClassRef || x.R.(string) != ic.cls {
-				ins.Op = bytecode.OpLoadSelect
-				goto dispatch
-			}
-			meter.StaticAccess(ic.slot.Addr)
-			stack[sp-1] = ic.slot.V
-		case bytecode.OpQGetConst:
-			x := stack[sp-1]
-			ic := &ics[ins.C]
-			if x.K != KClassRef || x.R.(string) != ic.cls {
-				ins.Op = bytecode.OpLoadSelect
-				goto dispatch
-			}
-			meter.Step(energy.OpStatic, 1)
-			stack[sp-1] = ic.v
-		case bytecode.OpQArrLen:
-			x := stack[sp-1]
-			if x.K != KArr {
-				ins.Op = bytecode.OpLoadSelect
-				goto dispatch
-			}
-			meter.Step(energy.OpField, 1)
-			stack[sp-1] = IntVal(int64(x.R.(*Array).Len()))
 		case bytecode.OpStoreSelect, bytecode.OpStoreSelectX:
 			// The receiver expression is evaluated inside writeLValue, after
 			// the RHS — the walker's assignment order.
@@ -880,17 +603,7 @@ func (in *Interp) execVM(cf *compiledFn, code []bytecode.Instr, ics []vmIC, fr *
 				sp--
 			}
 		case bytecode.OpLoadIdent:
-			n := ins.Node.(*ast.Ident)
-			if in.quick && n.RKind == ast.ResClass {
-				// evalIdent's ResClass lane is charge-free and invariant.
-				ics[ins.C] = vmIC{v: Value{K: KClassRef, R: n.Name}}
-				ins.Op = bytecode.OpQPushV
-				goto dispatch
-			}
-			stack[sp] = in.evalIdent(fr, n)
-			sp++
-		case bytecode.OpQPushV:
-			stack[sp] = ics[ins.C].v
+			stack[sp] = in.evalIdent(fr, ins.Node.(*ast.Ident))
 			sp++
 		case bytecode.OpQLoadStatic:
 			if ix := int(ins.A); ix < len(in.prog.statRefs) {

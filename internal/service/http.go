@@ -22,8 +22,9 @@
 //	POST   /v1/tables/{n}?seed=N
 //	GET    /v1/stats
 //
-// A saturated admission gate maps to 503 Service Unavailable; a cancelled
-// request maps to the client's disconnect (the handler just stops).
+// A saturated admission gate maps to 503 Service Unavailable; a request body
+// over MaxBodyBytes maps to 413 Request Entity Too Large; a cancelled request
+// maps to the client's disconnect (the handler just stops).
 package service
 
 import (
@@ -40,6 +41,10 @@ import (
 
 // DefaultTableSeed matches the experiment seed the CLI tables default to.
 const DefaultTableSeed = 20200518
+
+// MaxBodyBytes bounds every request body the handler reads: an uploaded
+// source file or a Request JSON document.
+const MaxBodyBytes = 4 << 20
 
 // Handler mounts svc on a fresh mux.
 func Handler(svc *Service) http.Handler {
@@ -70,7 +75,7 @@ func Handler(svc *Service) http.Handler {
 			httpError(w, err)
 			return
 		}
-		src, err := io.ReadAll(r.Body)
+		src, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 		if err != nil {
 			httpError(w, err)
 			return
@@ -150,7 +155,7 @@ func Handler(svc *Service) http.Handler {
 				return
 			}
 		}
-		req, err := decodeRequest(r)
+		req, err := decodeRequest(w, r)
 		if err != nil {
 			httpError(w, err)
 			return
@@ -196,7 +201,7 @@ func sessionOp(svc *Service, w http.ResponseWriter, r *http.Request, op func(*Se
 		httpError(w, err)
 		return
 	}
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -207,9 +212,9 @@ func sessionOp(svc *Service, w http.ResponseWriter, r *http.Request, op func(*Se
 }
 
 // decodeRequest parses the optional JSON body into a Request.
-func decodeRequest(r *http.Request) (Request, error) {
+func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, error) {
 	var req Request
-	body, err := io.ReadAll(r.Body)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		return req, err
 	}
@@ -269,7 +274,10 @@ func respondSSE(w http.ResponseWriter, op func(Progress) (payload, error)) {
 // httpError maps service errors to status codes.
 func httpError(w http.ResponseWriter, err error) {
 	status := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNoSession):
 		status = http.StatusNotFound
 	case errors.Is(err, sched.ErrSaturated):

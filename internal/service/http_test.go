@@ -234,3 +234,68 @@ func TestHTTPStats(t *testing.T) {
 		t.Error("stats missing cache line")
 	}
 }
+
+// TestHTTPKnobCeilings pins that the daemon's op budget is a ceiling as well
+// as a default: a request may lower it but never raise it. Profile fails
+// under a starved budget, and its error names the budget the run actually
+// had.
+func TestHTTPKnobCeilings(t *testing.T) {
+	cases := []struct {
+		name    string
+		ceiling int64 // Config.MaxOps
+		body    string
+		want    string // substring of the JSON error; "" = success
+	}{
+		{"over the ceiling runs at the ceiling", 10, `{"max_ops":1000000000}`, "op budget of 10 exceeded"},
+		{"unset takes the ceiling", 10, ``, "op budget of 10 exceeded"},
+		{"under the ceiling is honoured", 1_000_000_000, `{"max_ops":10}`, "op budget of 10 exceeded"},
+		{"no ceiling leaves the request as is", 0, `{"max_ops":10}`, "op budget of 10 exceeded"},
+		{"at a workable ceiling succeeds", 1_000_000_000, `{"max_ops":2000000000}`, ""},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{MaxOps: tc.ceiling})
+			id := createHTTPSession(t, ts)
+			if resp, body := do(t, "PUT", ts.URL+"/v1/sessions/"+id+"/files/Work.java", workSrc, nil); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("put file: %d %s", resp.StatusCode, body)
+			}
+			resp, body := do(t, "POST", ts.URL+"/v1/sessions/"+id+"/profile", tc.body, nil)
+			if tc.want == "" {
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("profile: status %d body %q, want 200", resp.StatusCode, body)
+				}
+				return
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal([]byte(body), &e) != nil || !strings.Contains(e.Error, tc.want) {
+				t.Errorf("profile: status %d body %q, want 400 with an error containing %q", resp.StatusCode, body, tc.want)
+			}
+		})
+	}
+}
+
+// TestHTTPBodyTooLarge pins the request-size bound on both body readers: an
+// uploaded file and a Request document over MaxBodyBytes get 413 with a JSON
+// error, and nothing is stored.
+func TestHTTPBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := createHTTPSession(t, ts)
+	huge := strings.Repeat("x", MaxBodyBytes+1)
+	for _, c := range []struct{ method, path string }{
+		{"PUT", "/files/Big.java"},
+		{"POST", "/analyze"},
+	} {
+		resp, body := do(t, c.method, ts.URL+"/v1/sessions/"+id+c.path, huge, nil)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || json.Unmarshal([]byte(body), &e) != nil || e.Error == "" {
+			t.Errorf("%s %s: status %d body %.200q, want 413 with a JSON error", c.method, c.path, resp.StatusCode, body)
+		}
+	}
+	if resp, body := do(t, "GET", ts.URL+"/v1/sessions/"+id+"/files", "", nil); !strings.Contains(body, `"files":[]`) {
+		t.Errorf("oversized upload was stored: %d %s", resp.StatusCode, body)
+	}
+}

@@ -269,18 +269,22 @@ type Request struct {
 	MainClass string `json:"main,omitempty"`
 	// Engine names the execution engine ("" = service default).
 	Engine string `json:"engine,omitempty"`
-	// Jobs overrides the pool width (0 = service default). Pure wall-clock
-	// knob: Output is bit-identical at any value.
+	// Jobs overrides the pool width (0 = service default), clamped to the
+	// service's own width. Pure wall-clock knob: Output is bit-identical at
+	// any value.
 	Jobs int `json:"jobs,omitempty"`
 	// MaxOps is this request's op budget per measurement run (0 = service
 	// default; negative is rejected, since the interpreter reads it as no
-	// budget). The budget is cache-key material: the same sources under a
+	// budget). When the service sets a budget, that budget is also the
+	// ceiling. The budget is cache-key material: the same sources under a
 	// different budget are distinct artifacts.
 	MaxOps int64 `json:"max_ops,omitempty"`
 }
 
-// resolve folds service defaults into the request. A negative op budget is
-// an error: the interpreter would run such a request unbounded.
+// resolve folds service defaults into the request. The service's settings
+// are ceilings as well as defaults: a client may ask for fewer jobs or a
+// smaller op budget, never more. A negative op budget is an error: the
+// interpreter would run such a request unbounded.
 func (svc *Service) resolve(req Request) (eng interp.Engine, jobs int, maxOps int64, err error) {
 	if req.MaxOps < 0 {
 		return eng, 0, 0, fmt.Errorf("service: max_ops must be >= 0, got %d", req.MaxOps)
@@ -296,8 +300,13 @@ func (svc *Service) resolve(req Request) (eng interp.Engine, jobs int, maxOps in
 	if jobs <= 0 {
 		jobs = svc.cfg.Jobs
 	}
+	ceiling := svc.cfg.Jobs
+	if ceiling <= 0 {
+		ceiling = runtime.GOMAXPROCS(0)
+	}
+	jobs = min(jobs, ceiling)
 	maxOps = req.MaxOps
-	if maxOps == 0 {
+	if maxOps == 0 || (svc.cfg.MaxOps > 0 && maxOps > svc.cfg.MaxOps) {
 		maxOps = svc.cfg.MaxOps
 	}
 	return eng, jobs, maxOps, nil

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -370,5 +371,34 @@ func TestServiceClose(t *testing.T) {
 	}
 	if err := s.PutFile("x.java", "class X { }"); !errors.Is(err, ErrClosed) {
 		t.Errorf("PutFile after service Close: %v", err)
+	}
+}
+
+// TestResolveCeilings pins resolve's arithmetic: the service's jobs and op
+// budget are defaults and ceilings at once.
+func TestResolveCeilings(t *testing.T) {
+	cases := []struct {
+		name   string
+		cfg    Config
+		req    Request
+		jobs   int
+		maxOps int64
+	}{
+		{"defaults", Config{Jobs: 2, MaxOps: 100}, Request{}, 2, 100},
+		{"over both ceilings", Config{Jobs: 2, MaxOps: 100}, Request{Jobs: 64, MaxOps: 1 << 40}, 2, 100},
+		{"under both ceilings", Config{Jobs: 2, MaxOps: 100}, Request{Jobs: 1, MaxOps: 7}, 1, 7},
+		{"no op budget ceiling", Config{Jobs: 2}, Request{MaxOps: 1 << 40}, 2, 1 << 40},
+		{"jobs ceiling is GOMAXPROCS", Config{}, Request{Jobs: 1 << 20}, runtime.GOMAXPROCS(0), 0},
+	}
+	for _, tc := range cases {
+		svc := newTestService(t, tc.cfg)
+		_, jobs, maxOps, err := svc.resolve(tc.req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if jobs != tc.jobs || maxOps != tc.maxOps {
+			t.Errorf("%s: resolve(%+v) under %+v = jobs %d, max_ops %d; want %d, %d",
+				tc.name, tc.req, tc.cfg, jobs, maxOps, tc.jobs, tc.maxOps)
+		}
 	}
 }

@@ -50,9 +50,9 @@ type goldenCase struct {
 
 // fingerprint runs one program `runs` times against a fresh interpreter and
 // meter and captures the cumulative charge fingerprint plus whatever it
-// printed. With runs > 1 the later drives execute the instance's warm
-// (quickened) code copies, so the fingerprint covers tier 2's runtime
-// patching as well as the cold path.
+// printed. With runs > 1 the later drives meet the instance's warm site
+// caches, frame pools and mutated statics, so the fingerprint covers the warm
+// path as well as the cold one.
 func fingerprint(engine interp.Engine, name string, runs int, load func() (*interp.Program, error), drive func(in *interp.Interp) error) (goldenRecord, error) {
 	prog, err := load()
 	if err != nil {
@@ -227,10 +227,10 @@ func TestGoldenEnergyDeterminism(t *testing.T) {
 }
 
 // TestGoldenEnergyWarmExecution is the warm half of the battery: every case
-// is driven twice on one interpreter instance per engine, so the VM's second
-// pass runs its quickened code copies against filled inline caches. The
-// cumulative two-run fingerprints of the VM and the tree-walker must agree
-// bit for bit — runtime opcode patching must not move a single charge. (The
+// is driven twice on one interpreter instance per engine, so the second pass
+// runs against filled call-site caches and recycled frame, argument and stack
+// pools. The cumulative two-run fingerprints of the VM and the tree-walker
+// must agree bit for bit — warm state must not move a single charge. (The
 // cold half is pinned against the golden file by TestGoldenEnergyDeterminism;
 // warm runs have no golden of their own because statics mutate across runs,
 // so the walker itself is the reference.)

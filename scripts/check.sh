@@ -28,6 +28,13 @@ echo "== engine diff =="
 # seeded random programs.
 go test -tags enginediff -run EngineDiff ./internal/minijava/interp
 
+echo "== engine agreement fuzz =="
+# Native fuzzing of the same contract: mutated programs must agree on both
+# engines under a small op budget, or fail with the same error class.
+# Crashers land in internal/minijava/interp/testdata/fuzz and are kept as
+# regression seeds, which every plain `go test` replays.
+go test -run '^$' -fuzz FuzzEngineAgreement -fuzztime 15s ./internal/minijava/interp
+
 echo "== sched diff =="
 # Differential fuzz for the worker pool: random task counts, worker counts
 # and fault plans must merge to identical results and Health ledgers at any
@@ -37,10 +44,11 @@ go test -tags scheddiff -run SchedDifferentialFuzz ./internal/sched
 echo "== golden battery: both engines, cold and warm, across -jobs =="
 # The golden energy battery must reproduce the golden file bit for bit on
 # both engines cold (Determinism), agree bit for bit between engines when
-# each case runs twice on one instance so the VM executes its quickened
-# copies (WarmExecution), survive sharding over the pool at -jobs 1, 4
-# and GOMAXPROCS (SchedJobs), and reproduce the golden through the
-# artifact engine's cached parse/program path, cold and warm (EngineCache).
+# each case runs twice on one instance so the second run meets warm site
+# caches and frame pools (WarmExecution), survive sharding over the pool
+# at -jobs 1, 4 and GOMAXPROCS (SchedJobs), and reproduce the golden
+# through the artifact engine's cached parse/program path, cold and warm
+# (EngineCache).
 go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySchedJobs|GoldenEnergyEngineCache' ./internal/tables
 
 echo "== -jobs byte-identity =="
@@ -109,16 +117,6 @@ if ! go run ./cmd/jperf disasm examples/java/EnergyDemo.java | diff -u examples/
     echo "jperf disasm output drifted from examples/java/golden_disasm.txt" >&2
     echo "regenerate (after auditing the diff) with:" >&2
     echo "    go run ./cmd/jperf disasm examples/java/EnergyDemo.java > examples/java/golden_disasm.txt" >&2
-    exit 1
-fi
-
-echo "== jperf disasm -warm golden =="
-# Runtime-quickening drift shows up the same way: after one main execution
-# the instance's patched code copies must match the checked-in warm golden.
-if ! go run ./cmd/jperf disasm -warm examples/java/EnergyDemo.java | diff -u examples/java/golden_disasm_warm.txt -; then
-    echo "warm disassembly drifted from examples/java/golden_disasm_warm.txt" >&2
-    echo "regenerate (after auditing the diff) with:" >&2
-    echo "    go run ./cmd/jperf disasm -warm examples/java/EnergyDemo.java > examples/java/golden_disasm_warm.txt" >&2
     exit 1
 fi
 
