@@ -8,10 +8,7 @@
 // Usage:
 //
 //	jperf [-main Class] [-r runs] [-jobs N] [-tukey] [-engine vm|ast] <file.java>...
-//	jperf bench [-o BENCH_interp.json] [-r repeats]
-//	jperf bench -vm [-o BENCH_vm.json] [-r repeats]
-//	jperf bench -sched [-o BENCH_sched.json]
-//	jperf bench -cache [-o BENCH_cache.json]
+//	jperf bench [-o BENCH_vm.json] [-r repeats]
 //	jperf disasm <file.java>...
 //
 // -jobs N shards the repeated measurement runs across the deterministic
@@ -48,7 +45,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		if err := runBenchCmd(ctx, os.Args[2:]); err != nil {
+		if err := runBenchCmd(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "jperf bench:", err)
 			os.Exit(1)
 		}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -56,32 +55,6 @@ func TestRunErrors(t *testing.T) {
 	empty := t.TempDir()
 	if err := run(context.Background(), "", 3, true, interp.EngineVM, 1, []string{empty}); err == nil {
 		t.Error("empty dir accepted")
-	}
-}
-
-func TestPassesBenchWritesReport(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_passes.json")
-	if err := runBenchCmd(context.Background(), []string{"-passes", "-r", "1", "-o", out}); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep passesReport
-	if err := json.Unmarshal(b, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(rep.Benchmarks) != 2 || rep.CorpusFiles == 0 {
-		t.Fatalf("unexpected report: %+v", rep)
-	}
-	for _, pt := range rep.Benchmarks {
-		if pt.NsPerOp <= 0 || pt.Diagnostics == 0 {
-			t.Errorf("degenerate benchmark point: %+v", pt)
-		}
-	}
-	if rep.Speedup <= 0 {
-		t.Errorf("speedup = %v", rep.Speedup)
 	}
 }
 

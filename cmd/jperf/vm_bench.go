@@ -1,9 +1,9 @@
-// The bench -vm mode compares the two execution engines over the Table I
+// The bench subcommand compares the two execution engines over the Table I
 // interpreter corpus. Both engines drive the same energy model and must agree
 // on every joule bit-for-bit — the comparison here is wall clock and
 // allocations, i.e. pure interpreter engineering. The run fails if the
-// simulated energy diverges between engines, so the trajectory file doubles
-// as a determinism check.
+// simulated energy diverges between engines, so the report doubles as a
+// determinism check.
 //
 // Every call of the benchmark kernel is timed on its own, so each row reports
 // the median ns/op with its quartiles and sample count rather than a bare
@@ -14,10 +14,15 @@
 // modelled ops) and as spliced PROBE opcodes (which cost none), recording the
 // wall-clock overhead of the opcodes and the modelled energy the splice
 // avoids charging.
+//
+// Usage:
+//
+//	jperf bench [-o BENCH_vm.json] [-r repeats] [-cpuprofile f] [-memprofile f]
 package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -73,10 +78,22 @@ type vmBenchReport struct {
 	ProbeOverhead vmProbeOverhead `json:"probe_overhead"`
 }
 
-func runVMBench(out string, repeats int) error {
-	if repeats < 3 {
-		return fmt.Errorf("bench -vm needs at least 3 repeats for quartiles, got %d", repeats)
+func runBenchCmd(args []string) error {
+	fs := flag.NewFlagSet("bench", flag.ExitOnError)
+	out := fs.String("o", "BENCH_vm.json", "output JSON path")
+	repeats := fs.Int("r", 5, "timed calls per benchmark and engine")
+	prof := registerProfileFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	if *repeats < 3 {
+		return fmt.Errorf("need at least 3 repeats for quartiles, got %d", *repeats)
+	}
+	if err := prof.start(); err != nil {
+		return err
+	}
+	defer prof.stop()
+
 	report := vmBenchReport{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GoVersion:   runtime.Version(),
@@ -84,7 +101,7 @@ func runVMBench(out string, repeats int) error {
 	}
 	logSpeedup := 0.0
 	for _, b := range tables.InterpBenches() {
-		pt, err := runVMBenchOne(b, repeats)
+		pt, err := runVMBenchOne(b, *repeats)
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
@@ -95,7 +112,7 @@ func runVMBench(out string, repeats int) error {
 	}
 	report.MeanSpeedup = math.Exp(logSpeedup / float64(len(report.Benchmarks)))
 
-	po, err := runProbeOverhead(repeats)
+	po, err := runProbeOverhead(*repeats)
 	if err != nil {
 		return fmt.Errorf("probe overhead: %w", err)
 	}
@@ -109,10 +126,10 @@ func runVMBench(out string, repeats int) error {
 		return err
 	}
 	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
+	if err := os.WriteFile(*out, data, 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%d benchmarks)\n", out, len(report.Benchmarks))
+	fmt.Printf("wrote %s (%d benchmarks)\n", *out, len(report.Benchmarks))
 	return nil
 }
 

@@ -75,6 +75,10 @@ type Option func(*Interp)
 // WithHook installs a probe hook for JEPO.enter/JEPO.exit.
 func WithHook(h ProbeHook) Option { return func(in *Interp) { in.hook = h } }
 
+// DefaultMaxOps is the op budget a measurement run gets when its caller names
+// none, and the ceiling the session service holds a client's budget to.
+const DefaultMaxOps = 500_000_000
+
 // WithMaxOps bounds the number of interpreted nodes, turning runaway programs
 // into an error instead of a hang.
 func WithMaxOps(n int64) Option { return func(in *Interp) { in.maxOps = n } }

@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -56,28 +59,72 @@ func createHTTPSession(t *testing.T, ts *httptest.Server) string {
 }
 
 // TestHTTPAnalyzeRaw is the serve gate's identity contract in miniature:
-// the raw response body equals the CLI rendering, byte for byte.
+// the raw response body equals the CLI rendering, byte for byte. Four
+// sessions with distinct sources fire their analyze requests concurrently,
+// twice: the first round builds every artifact cold, the second meets a
+// warm shared store. Every body must equal that session's direct rendering.
 func TestHTTPAnalyzeRaw(t *testing.T) {
-	svc, ts := newTestServer(t, Config{})
-	id := createHTTPSession(t, ts)
-	resp, body := do(t, "PUT", ts.URL+"/v1/sessions/"+id+"/files/Work.java", workSrc, nil)
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("put file: %d %s", resp.StatusCode, body)
+	const sessions = 4
+	svc, ts := newTestServer(t, Config{Slots: sessions, MaxQueue: 16})
+	ids := make([]string, sessions)
+	for k := range ids {
+		ids[k] = createHTTPSession(t, ts)
+		src := strings.Replace(workSrc, "i < 200", fmt.Sprintf("i < %d", 200+97*k), 1)
+		resp, body := do(t, "PUT", ts.URL+"/v1/sessions/"+ids[k]+"/files/Work.java", src, nil)
+		if resp.StatusCode != http.StatusNoContent {
+			t.Fatalf("put file: %d %s", resp.StatusCode, body)
+		}
 	}
-	resp, body = do(t, "POST", ts.URL+"/v1/sessions/"+id+"/analyze", "", nil)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("analyze: %d %s", resp.StatusCode, body)
+
+	rounds := [2][sessions]string{}
+	for round := range rounds {
+		var wg sync.WaitGroup
+		errs := make([]error, sessions)
+		for k, id := range ids {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/v1/sessions/"+id+"/analyze", "", nil)
+				if err != nil {
+					errs[k] = err
+					return
+				}
+				b, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err == nil && resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("analyze: %d %s", resp.StatusCode, b)
+				}
+				rounds[round][k], errs[k] = string(b), err
+			}()
+		}
+		wg.Wait()
+		if err := errors.Join(errs...); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
 	}
-	s, err := svc.Session(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := s.Analyze(context.Background(), Request{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body != direct.Output {
-		t.Errorf("HTTP raw body diverges from service output:\n--- http ---\n%s\n--- direct ---\n%s", body, direct.Output)
+
+	seen := map[string]string{}
+	for k, id := range ids {
+		s, err := svc.Session(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := s.Analyze(context.Background(), Request{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Distinct sources must render distinctly, or a crossed response
+		// would pass unnoticed.
+		if other, dup := seen[direct.Output]; dup {
+			t.Fatalf("sessions %s and %s render identically", other, id)
+		}
+		seen[direct.Output] = id
+		for round, name := range []string{"cold", "warm"} {
+			if body := rounds[round][k]; body != direct.Output {
+				t.Errorf("session %s, %s round: HTTP raw body diverges from service output:\n--- http ---\n%s\n--- direct ---\n%s",
+					id, name, body, direct.Output)
+			}
+		}
 	}
 }
 

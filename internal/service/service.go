@@ -55,7 +55,8 @@ type Config struct {
 	// no queue (admit or shed).
 	MaxQueue int
 	// MaxOps is the default per-run op budget for requests that don't set
-	// one (0 = the interpreter default).
+	// one, and the ceiling for those that do. 0 means the interpreter
+	// default, interp.DefaultMaxOps, in both roles.
 	MaxOps int64
 }
 
@@ -275,8 +276,7 @@ type Request struct {
 	Jobs int `json:"jobs,omitempty"`
 	// MaxOps is this request's op budget per measurement run (0 = service
 	// default; negative is rejected, since the interpreter reads it as no
-	// budget). When the service sets a budget, that budget is also the
-	// ceiling. The budget is cache-key material: the same sources under a
+	// budget). The service default is also the ceiling. The budget is cache-key material: the same sources under a
 	// different budget are distinct artifacts.
 	MaxOps int64 `json:"max_ops,omitempty"`
 }
@@ -306,9 +306,14 @@ func (svc *Service) resolve(req Request) (eng interp.Engine, jobs int, maxOps in
 	}
 	jobs = min(jobs, ceiling)
 	maxOps = req.MaxOps
-	if maxOps == 0 || (svc.cfg.MaxOps > 0 && maxOps > svc.cfg.MaxOps) {
+	if maxOps == 0 {
 		maxOps = svc.cfg.MaxOps
 	}
+	opsCeiling := svc.cfg.MaxOps
+	if opsCeiling == 0 {
+		opsCeiling = interp.DefaultMaxOps
+	}
+	maxOps = min(maxOps, opsCeiling)
 	return eng, jobs, maxOps, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"jepo/internal/core"
+	"jepo/internal/minijava/interp"
 	"jepo/internal/sched"
 )
 
@@ -387,7 +388,7 @@ func TestResolveCeilings(t *testing.T) {
 		{"defaults", Config{Jobs: 2, MaxOps: 100}, Request{}, 2, 100},
 		{"over both ceilings", Config{Jobs: 2, MaxOps: 100}, Request{Jobs: 64, MaxOps: 1 << 40}, 2, 100},
 		{"under both ceilings", Config{Jobs: 2, MaxOps: 100}, Request{Jobs: 1, MaxOps: 7}, 1, 7},
-		{"no op budget ceiling", Config{Jobs: 2}, Request{MaxOps: 1 << 40}, 2, 1 << 40},
+		{"op budget ceiling defaults to interp.DefaultMaxOps", Config{Jobs: 2}, Request{MaxOps: 1 << 40}, 2, interp.DefaultMaxOps},
 		{"jobs ceiling is GOMAXPROCS", Config{}, Request{Jobs: 1 << 20}, runtime.GOMAXPROCS(0), 0},
 	}
 	for _, tc := range cases {

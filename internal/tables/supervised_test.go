@@ -217,7 +217,6 @@ func TestSupervisedMeasuresOneRealRow(t *testing.T) {
 	cfg.Protocol.Runs = 3
 	cfg.Protocol.MaxRounds = 1
 	cfg.CVFolds = 2
-	cfg.Quiet = true
 	cfg.CheckpointDir = dir
 	cfg.RowHook = func(name string) error {
 		if name == real {

@@ -239,9 +239,9 @@ type InterpBench struct {
 	Src  string
 }
 
-// InterpBenches exposes the Table I benchmark corpus to external harnesses
-// (cmd/jperf bench) that track interpreter wall-clock and simulated-energy
-// trajectories across revisions.
+// InterpBenches exposes the Table I benchmark corpus to external harnesses:
+// the engine comparison (cmd/jperf bench), the session benchmark workload
+// and the engine-agreement tests.
 func InterpBenches() []InterpBench {
 	out := make([]InterpBench, 0, 2*len(table1Benches))
 	for _, b := range table1Benches {

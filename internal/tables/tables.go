@@ -104,8 +104,7 @@ type Table4Config struct {
 	Slots     int            // classifiers evaluated concurrently (0 = GOMAXPROCS)
 	CVJobs    int            // fold-training workers inside each row's cross-validation (0 = 1)
 	Engine    interp.Engine  // execution engine (zero value = bytecode VM)
-	Quiet     bool
-	Progress  func(string) // optional progress callback
+	Progress  func(string)   // optional progress callback
 	// OnTelemetry, when set, receives the row pool's execution ledger after
 	// the run (worker utilization, retry-queue steals, straggler row). The
 	// CLIs print it to stderr so determinism-pinned stdout stays byte-equal

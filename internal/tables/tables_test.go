@@ -8,6 +8,7 @@ import (
 
 	"jepo/internal/classify"
 	"jepo/internal/corpus"
+	"jepo/internal/engine"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/stats"
 	"jepo/internal/suggest"
@@ -97,6 +98,7 @@ func TestTable4EndToEnd(t *testing.T) {
 		Reps:      2,
 		Protocol:  stats.Protocol{Runs: 3, MaxRounds: 3},
 		CVFolds:   4,
+		Cache:     engine.New(engine.Config{}),
 	}
 	rows, err := Table4(context.Background(), cfg)
 	if err != nil {
@@ -104,6 +106,26 @@ func TestTable4EndToEnd(t *testing.T) {
 	}
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d", len(rows))
+	}
+	// A second run on the now-warm store must serve artifacts from it and
+	// land on the same rows bit for bit: the store changes cost, never bytes.
+	cold := cfg.Cache.Stats()
+	warm, err := Table4(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := cfg.Cache.Stats().Hits; hits <= cold.Hits {
+		t.Errorf("warm run added no store hits (%d before, %d after)", cold.Hits, hits)
+	}
+	for i, r := range rows {
+		w := warm[i]
+		if w.Classifier != r.Classifier || w.Changes != r.Changes ||
+			math.Float64bits(w.PackagePct) != math.Float64bits(r.PackagePct) ||
+			math.Float64bits(w.CPUPct) != math.Float64bits(r.CPUPct) ||
+			math.Float64bits(w.TimePct) != math.Float64bits(r.TimePct) ||
+			math.Float64bits(w.AccuracyPct) != math.Float64bits(r.AccuracyPct) {
+			t.Errorf("warm-store row %d differs from cold:\n cold %+v\n warm %+v", i, r, w)
+		}
 	}
 	byName := map[string]Table4Row{}
 	for _, r := range rows {

@@ -53,8 +53,8 @@ go test -run 'GoldenEnergyDeterminism|GoldenEnergyWarmExecution|GoldenEnergySche
 
 echo "== -jobs byte-identity =="
 # CLI stdout must be byte-identical at any -jobs value (pool telemetry goes
-# to stderr). Diff sequential vs parallel output of the analyzer and the
-# classifier table.
+# to stderr). Diff sequential vs parallel output of the analyzer, the
+# classifier table and a reduced Table IV.
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 go run ./cmd/jepo analyze -jobs 1 examples/java >"$tmpdir/analyze.1" 2>/dev/null
@@ -69,6 +69,16 @@ go run ./cmd/wekaexp -table 2 -jobs 4 >"$tmpdir/table2.4" 2>/dev/null
 if ! cmp -s "$tmpdir/table2.1" "$tmpdir/table2.4"; then
     echo "wekaexp -table 2 stdout differs between -jobs 1 and -jobs 4" >&2
     diff -u "$tmpdir/table2.1" "$tmpdir/table2.4" >&2 || true
+    exit 1
+fi
+# A reduced Table IV crosses both cost knobs at once: sequential with the
+# artifact cache off against four row workers on the cached default.
+t4="-table 4 -instances 400 -folds 3 -reps 1 -runs 3"
+go run ./cmd/wekaexp $t4 -jobs 1 -cache=false >"$tmpdir/table4.1" 2>/dev/null
+go run ./cmd/wekaexp $t4 -jobs 4 >"$tmpdir/table4.4" 2>/dev/null
+if ! cmp -s "$tmpdir/table4.1" "$tmpdir/table4.4"; then
+    echo "wekaexp reduced -table 4 stdout differs between -jobs 1 -cache=false and -jobs 4" >&2
+    diff -u "$tmpdir/table4.1" "$tmpdir/table4.4" >&2 || true
     exit 1
 fi
 
