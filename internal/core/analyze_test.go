@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"jepo/internal/corpus"
 	"jepo/internal/energy"
+	"jepo/internal/engine"
 	"jepo/internal/suggest"
 )
 
@@ -138,5 +140,42 @@ func TestAnalyzeRejectsFixThatCostsEnergy(t *testing.T) {
 	}
 	if !strings.Contains(AnalysisView(rep), "REJECTED") {
 		t.Error("view does not flag the rejected fix")
+	}
+}
+
+// TestCorpusNotRunnableNotes pins the report of a library file with no main,
+// the whole corpus workload, now that programs are resolved and compiled on
+// their first run rather than in interp.Load: ExecNote and every unmeasured
+// fix's Note stay byte-identical.
+func TestCorpusNotRunnableNotes(t *testing.T) {
+	proj, err := corpus.Generate("RandomTree", 20200518)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := AnalyzeConfig{Cache: engine.New(engine.Config{Disabled: true})}
+	notes := 0
+	for _, f := range proj.Files {
+		rep, err := Analyze(context.Background(), Project{f.Path: f.Source}, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Path, err)
+		}
+		if rep.Executable || rep.ExecNote != "interp: no class with a main method" {
+			t.Fatalf("%s: executable=%v note=%q, want the exact no-main note", f.Path, rep.Executable, rep.ExecNote)
+		}
+		for _, d := range rep.Diags {
+			want := ""
+			if d.Fix != nil {
+				want = "program not runnable"
+			}
+			if d.Note != want {
+				t.Fatalf("%s: %s: note %q, want %q", f.Path, d.Diagnostic, d.Note, want)
+			}
+			if d.Note != "" {
+				notes++
+			}
+		}
+	}
+	if notes == 0 {
+		t.Fatal("no fixable diagnostic in the closure; the note check is vacuous")
 	}
 }

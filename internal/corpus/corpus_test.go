@@ -53,7 +53,7 @@ func TestEveryProjectParsesAndLoads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if _, err := interp.Load(files...); err != nil {
+		if err := loadAndPrepare(files); err != nil {
 			t.Fatalf("%s does not load: %v", name, err)
 		}
 	}
@@ -163,10 +163,21 @@ func TestRefactorChangeCountsMatchTableIVShape(t *testing.T) {
 				t.Fatalf("%s: refactored %s does not re-parse: %v", name, p.Files[i].Path, err)
 			}
 		}
-		if _, err := interp.Load(files...); err != nil {
+		if err := loadAndPrepare(files); err != nil {
 			t.Fatalf("%s: refactored corpus does not load: %v", name, err)
 		}
 	}
+}
+
+// loadAndPrepare links files and runs the first execution step, which
+// resolves and compiles the program (interp.Load alone only links), so a
+// resolver or compiler crash on corpus code fails the test.
+func loadAndPrepare(files []*ast.File) error {
+	prog, err := interp.Load(files...)
+	if err != nil {
+		return err
+	}
+	return interp.New(prog, energy.NewMeter(energy.DefaultCosts())).InitStatics()
 }
 
 // runKernel executes a classifier's kernel over synthetic data and returns

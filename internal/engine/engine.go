@@ -10,12 +10,14 @@
 // never the answer. Concretely —
 //
 //   - AST masters are stored pristine (never interp.Load-ed) and every
-//     checkout is a deep clone, because both interp.Load and
-//     passes.ApplyFixes annotate/mutate ASTs in place;
-//   - compiled *interp.Program values are shared directly: every VM
-//     instance executes the program's one finalized code stream read-only
-//     and keeps its caches and pools to itself, so one cached program can
-//     back any number of concurrent interpreters;
+//     checkout is a deep clone, because both a loaded program's first run
+//     and passes.ApplyFixes annotate/mutate ASTs in place;
+//   - *interp.Program values are shared directly. A program is linked by
+//     interp.Load and resolved and compiled once, on its first run, behind a
+//     sync.Once; a program that never runs (no main) is never compiled.
+//     Every VM instance executes the program's one finalized code stream
+//     read-only and keeps its caches and pools to itself, so one cached
+//     program can back any number of concurrent interpreters;
 //   - measurement samples are cached only for successful runs, keyed by the
 //     program content and the complete run configuration.
 //
@@ -209,7 +211,7 @@ func (e *Engine) ParseAll(srcs []Source) ([]*ast.File, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Stage: AST → compiled program.
+// Stage: AST → linked program (resolved and compiled on its first run).
 
 // programKey hashes the program stage input: source contents in link order
 // (paths excluded — the loaded program is path-independent, so identical
@@ -228,10 +230,11 @@ func programKey(srcs []Source, instrumented bool) Key {
 	return h.Key()
 }
 
-// Program compiles (and optionally probe-instruments) the sources into a
-// cold *interp.Program. The returned program is shared across callers and
-// must not be re-Loaded or patched — interpreter instances only ever read
-// its code — so a hit is safe for any number of concurrent interpreters.
+// Program links (and optionally probe-instruments) the sources into a cold
+// *interp.Program; its first run resolves and compiles it, once. The returned
+// program is shared across callers and must not be re-Loaded or patched —
+// interpreter instances only ever read its code — so a hit is safe for any
+// number of concurrent interpreters.
 func (e *Engine) Program(srcs []Source, instrumented bool) (*interp.Program, error) {
 	build := func() (any, error) {
 		files, err := e.ParseAll(srcs)

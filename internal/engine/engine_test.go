@@ -44,8 +44,9 @@ func TestParseSharingAcrossPaths(t *testing.T) {
 	}
 }
 
-// TestParseCheckoutIsolation: mutating one checkout (via interp.Load's
-// in-place annotation) must not leak into later checkouts.
+// TestParseCheckoutIsolation: mutating one checkout (via the in-place
+// annotation of an interp.Load-ed program's first run) must not leak into
+// later checkouts.
 func TestParseCheckoutIsolation(t *testing.T) {
 	e := engine.New(engine.Config{})
 	first, err := e.ParseFile("B.java", benchSrc)
@@ -59,8 +60,15 @@ func TestParseCheckoutIsolation(t *testing.T) {
 	if !reflect.DeepEqual(first, pristine) {
 		t.Fatal("second checkout differs before any mutation")
 	}
-	if _, err := interp.Load(first); err != nil {
+	prog, err := interp.Load(first)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := interp.New(prog, energy.NewMeter(energy.DefaultCosts())).InitStatics(); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(first, pristine) {
+		t.Fatal("preparing the program left the checkout unannotated; isolation test is vacuous")
 	}
 	third, err := e.ParseFile("B.java", benchSrc)
 	if err != nil {

@@ -156,13 +156,13 @@ type Method struct {
 	Body   *Block // nil for abstract-like declarations (not produced)
 	IsCtor bool
 
-	// NSlots is the frame slot count computed by the interpreter's load-time
+	// NSlots is the frame slot count computed by the interpreter's
 	// resolver: parameters first, then every distinct local/catch name.
 	NSlots int32
 
 	// CIx is 1 + the method's index into the loaded program's compiled
 	// function table (0 = not compiled; the tree-walker runs it). Like
-	// NSlots it is a load-time annotation and deterministic across repeated
+	// NSlots it is a resolver annotation and deterministic across repeated
 	// loads of the same AST.
 	CIx int32
 }
@@ -198,7 +198,7 @@ type LocalVar struct {
 	Name  string
 	Init  Expr // may be nil
 
-	// Slot is 1 + the frame slot assigned by the interpreter's load-time
+	// Slot is 1 + the frame slot assigned by the interpreter's
 	// resolver (0 = unresolved).
 	Slot int32
 }
@@ -281,7 +281,7 @@ type Catch struct {
 	Block *Block
 
 	// Slot is 1 + the frame slot for the caught value, assigned by the
-	// interpreter's load-time resolver (0 = unresolved).
+	// interpreter's resolver (0 = unresolved).
 	Slot int32
 }
 
@@ -352,7 +352,7 @@ type Literal struct {
 }
 
 // Resolution-cache kinds for Ident.RKind, written by the interpreter's
-// load-time resolver (internal/minijava/interp/resolve.go). They record what
+// resolver (internal/minijava/interp/resolve.go). They record what
 // a name resolves to when no live local variable claims it. ResNone (the zero
 // value, i.e. a freshly parsed or freshly constructed node) and ResDynamic
 // both mean the interpreter must fall back to fully dynamic lookup.
@@ -370,9 +370,9 @@ type Ident struct {
 	Pos  token.Pos
 	Name string
 
-	// Interpreter resolution cache, maintained by interp.Load. RSlot is
-	// 1 + the frame slot when the enclosing method declares Name as a
-	// parameter, local or catch variable (0 otherwise); RKind/RIx cache
+	// Interpreter resolution cache, written on a loaded program's first run.
+	// RSlot is 1 + the frame slot when the enclosing method declares Name as
+	// a parameter, local or catch variable (0 otherwise); RKind/RIx cache
 	// what Name resolves to when no such local is live.
 	RSlot int32
 	RKind uint8
@@ -389,7 +389,7 @@ type Select struct {
 	Name string
 
 	// SiteIx is 1 + this site's index in the program's call-site tables,
-	// assigned by the interpreter's load-time resolver (0 = unresolved).
+	// assigned by the interpreter's resolver (0 = unresolved).
 	SiteIx int32
 }
 
@@ -409,7 +409,7 @@ type Call struct {
 	Args []Expr
 
 	// SiteIx is 1 + this site's index in the program's call-site tables,
-	// assigned by the interpreter's load-time resolver (0 = unresolved).
+	// assigned by the interpreter's resolver (0 = unresolved).
 	SiteIx int32
 }
 
@@ -420,7 +420,7 @@ type New struct {
 	Args []Expr
 
 	// SiteIx is 1 + this site's index in the program's call-site tables,
-	// assigned by the interpreter's load-time resolver (0 = unresolved).
+	// assigned by the interpreter's resolver (0 = unresolved).
 	SiteIx int32
 }
 

@@ -1,13 +1,13 @@
 package ast
 
 // CloneFile returns a deep copy of a compilation unit. Every node is
-// duplicated, including the interpreter's load-time annotation fields
+// duplicated, including the interpreter's resolver annotation fields
 // (Ident.RSlot/RKind/RIx, call-site SiteIx, Method.NSlots/CIx, LocalVar and
 // Catch slots), so a clone of a pristine parse is itself pristine and a clone
-// of a loaded file reproduces its resolution state exactly.
+// of a file whose program has run reproduces its resolution state exactly.
 //
-// The artifact engine depends on this: interp.Load and passes.ApplyFixes
-// both mutate ASTs in place, so a cached master AST can only be shared by
+// The artifact engine depends on this: running an interp.Load-ed program and
+// passes.ApplyFixes both mutate ASTs in place, so a cached master AST can only be shared by
 // handing each consumer its own clone. Cloning reads the source tree without
 // writing to it, so any number of goroutines may clone one master
 // concurrently.

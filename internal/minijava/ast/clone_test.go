@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"jepo/internal/energy"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
@@ -92,17 +93,22 @@ func TestCloneFileDeepEqual(t *testing.T) {
 	}
 }
 
-// TestCloneFileIsolation: loading a clone (which annotates its nodes in
-// place) must leave the original byte-for-byte pristine, and a clone of the
-// loaded file must carry the annotations. This is the property that lets the
-// artifact engine share one master AST across concurrent consumers.
+// TestCloneFileIsolation: loading and preparing a clone (which annotates its
+// nodes in place) must leave the original byte-for-byte pristine, and a clone
+// of the prepared file must carry the annotations. This is the property that
+// lets the artifact engine share one master AST across concurrent consumers.
 func TestCloneFileIsolation(t *testing.T) {
 	pristine := parseClone(t)
 	reference := parseClone(t)
 
 	c := ast.CloneFile(pristine)
-	if _, err := interp.Load(c); err != nil {
+	prog, err := interp.Load(c)
+	if err != nil {
 		t.Fatalf("load clone: %v", err)
+	}
+	// Preparation (resolve + compile) runs on the first execution.
+	if err := interp.New(prog, energy.NewMeter(energy.DefaultCosts())).InitStatics(); err != nil {
+		t.Fatalf("prepare clone: %v", err)
 	}
 	if !reflect.DeepEqual(pristine, reference) {
 		t.Fatal("loading the clone mutated the original AST")

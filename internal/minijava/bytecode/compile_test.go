@@ -1,29 +1,35 @@
 // Compiler unit tests. They live in an external test package because
-// Compile consumes the frame-slot annotations interp's load-time resolver
-// leaves on the AST — the tests parse and Load a program first, then compile
-// individual methods directly.
+// Compile consumes the frame-slot annotations interp's resolver leaves on the
+// AST — the tests parse, Load and prepare a program first (preparation runs
+// on the first execution, InitStatics), then compile individual methods
+// directly.
 package bytecode_test
 
 import (
 	"strings"
 	"testing"
 
+	"jepo/internal/energy"
 	"jepo/internal/minijava/ast"
 	"jepo/internal/minijava/bytecode"
 	"jepo/internal/minijava/interp"
 	"jepo/internal/minijava/parser"
 )
 
-// compileMethod parses src, resolves it through interp.Load, and compiles
-// the named method of the first class.
+// compileMethod parses src, resolves it through interp.Load and the first
+// InitStatics, and compiles the named method of the first class.
 func compileMethod(t *testing.T, src, method string) *bytecode.Func {
 	t.Helper()
 	f, err := parser.Parse("t.java", src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if _, err := interp.Load(f); err != nil {
+	prog, err := interp.Load(f)
+	if err != nil {
 		t.Fatalf("load: %v", err)
+	}
+	if err := interp.New(prog, energy.NewMeter(energy.DefaultCosts())).InitStatics(); err != nil {
+		t.Fatalf("prepare: %v", err)
 	}
 	for _, cl := range f.Classes {
 		for _, m := range cl.Methods {
@@ -146,7 +152,7 @@ func TestCompileSkipsUnresolvedMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Without interp.Load no slots are resolved, so Compile must decline
+	// Without a prepared interp.Load no slots are resolved, so Compile must decline
 	// rather than produce a wrong frame layout.
 	m := f.Classes[0].Methods[0]
 	if fn := bytecode.Compile("T", m, nil); fn != nil && len(m.Params) > 0 {

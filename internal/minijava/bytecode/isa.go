@@ -1,7 +1,7 @@
 // Package bytecode lowers resolved mini-Java methods to a flat instruction
 // stream — the reproduction's analogue of the class-file bytecode JEPO
 // instruments with Javassist. The compiler consumes the annotations the
-// interpreter's load-time resolver leaves on the AST (frame slots, resolution
+// interpreter's resolver leaves on the AST (frame slots, resolution
 // kinds, call-site indices) and produces one Func per method; the VM dispatch
 // loop itself lives in internal/minijava/interp so that every non-trivial
 // operation (builtin calls, coercions, boxing, object construction) reuses

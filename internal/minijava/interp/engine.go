@@ -95,11 +95,12 @@ func makeConstVals(lits []*ast.Literal) []constVal {
 	return out
 }
 
-// compileProgram lowers every method body to bytecode at load time, in
-// deterministic order (class load order, then declaration order). Methods the
-// compiler cannot lower keep a nil entry and run on the tree-walker. Bodies
-// carrying the AST-level probe pattern are compiled from their inner block
-// with probe opcodes spliced in — the bytecode instrumentation mode.
+// compileProgram lowers every method body to bytecode on the program's first
+// execution (see Program.prepare), in deterministic order (class load order,
+// then declaration order). Methods the compiler cannot lower keep a nil entry
+// and run on the tree-walker. Bodies carrying the AST-level probe pattern are
+// compiled from their inner block with probe opcodes spliced in — the
+// bytecode instrumentation mode.
 func compileProgram(p *Program) {
 	for _, name := range p.order {
 		ci := p.classes[name]
@@ -132,6 +133,7 @@ func compileProgram(p *Program) {
 // Disasm renders the whole program's compiled form — the `jperf disasm`
 // backend. Methods without a lowering are listed with a tree-walker marker.
 func (p *Program) Disasm() string {
+	p.prepare()
 	var b strings.Builder
 	for _, name := range p.order {
 		ci := p.classes[name]

@@ -44,8 +44,9 @@ type Interp struct {
 	staticsReady bool
 
 	// siteCache holds per-interpreter monomorphic inline caches, indexed by
-	// the SiteIx annotations the resolver leaves on Call/Select nodes. The
-	// interpreter is single-threaded by design, so no locking is needed.
+	// the SiteIx annotations the resolver leaves on Call/Select nodes; it is
+	// sized by InitStatics once the program is prepared. The interpreter is
+	// single-threaded by design, so no locking is needed.
 	siteCache []siteState
 
 	// framePool, argPool and stackPool are free lists for frame slot arrays,
@@ -109,7 +110,6 @@ func New(prog *Program, meter *energy.Meter, opts ...Option) *Interp {
 		meter:      meter,
 		rngInt:     0x9E3779B97F4A7C15,
 		ctxCheckAt: math.MaxInt64,
-		siteCache:  make([]siteState, len(prog.sites)),
 	}
 	for _, o := range opts {
 		o(in)
@@ -184,11 +184,15 @@ func (in *Interp) run(f func() Value) (v Value, err error) {
 
 // --- public entry points ---
 
-// InitStatics runs every static field initializer once, in load order.
+// InitStatics runs every static field initializer once, in load order. It is
+// the first step of every execution entry (RunMain, CallStatic, Bind), so it
+// is also where the program is resolved and compiled on its first run.
 func (in *Interp) InitStatics() (err error) {
 	if in.staticsReady {
 		return nil
 	}
+	in.prog.prepare()
+	in.siteCache = make([]siteState, len(in.prog.sites))
 	defer func() {
 		switch r := recover().(type) {
 		case nil:

@@ -473,14 +473,19 @@ func TestLoadErrors(t *testing.T) {
 		}
 		return f
 	}
-	if _, err := Load(parseOne(`class A { }`), parseOne(`class A { }`)); err == nil {
-		t.Error("duplicate class must fail")
-	}
-	if _, err := Load(parseOne(`class A extends Missing { }`)); err == nil {
-		t.Error("unknown superclass must fail")
-	}
-	if _, err := Load(parseOne(`class A extends B { } class B extends A { }`)); err == nil {
-		t.Error("inheritance cycle must fail")
+	// None of these programs has a main: link errors come from Load itself,
+	// so they win over RunMain's missing-main error.
+	for _, c := range []struct {
+		files []*ast.File
+		want  string
+	}{
+		{[]*ast.File{parseOne(`class A { }`), parseOne(`class A { }`)}, "interp: duplicate class A"},
+		{[]*ast.File{parseOne(`class A extends Missing { }`)}, "interp: class A extends unknown class Missing"},
+		{[]*ast.File{parseOne(`class A extends B { } class B extends A { }`)}, "interp: inheritance cycle through A"},
+	} {
+		if _, err := Load(c.files...); err == nil || err.Error() != c.want {
+			t.Errorf("Load error = %v, want %q", err, c.want)
+		}
 	}
 	if _, err := Load(parseOne(`class A extends Exception { }`)); err != nil {
 		t.Errorf("extending a builtin throwable must be allowed: %v", err)

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"sync"
 
 	"jepo/internal/minijava/ast"
 )
@@ -53,8 +54,12 @@ type Program struct {
 	classes map[string]*classInfo
 	order   []string // load order, for static initialization
 
+	// prepared guards resolveProgram + compileProgram, which run on the
+	// program's first execution (see prepare), not in Load.
+	prepared sync.Once
+
 	// Resolution tables built by resolveProgram. sites is indexed by the
-	// SiteIx annotations on Call/New/Select nodes and holds load-time
+	// SiteIx annotations on Call/New/Select nodes and holds statically
 	// resolved dispatch targets; statRefs is indexed by the RIx of
 	// ResStaticRef idents and points directly at unambiguous static slots.
 	sites    []progSite
@@ -66,8 +71,8 @@ type Program struct {
 	funcs []compiledFn
 }
 
-// progSiteKind classifies what a call/new/select site resolved to at load
-// time. siteLazy (the zero value) means nothing could be pinned down
+// progSiteKind classifies what a call/new/select site resolved to before
+// execution. siteLazy (the zero value) means nothing could be pinned down
 // statically; the interpreter uses its per-instance monomorphic cache or the
 // fully dynamic path.
 type progSiteKind uint8
@@ -82,7 +87,7 @@ const (
 	siteBuiltinConstSel                // Class.FIELD builtin constant: precomputed value
 )
 
-// progSite is the immutable load-time resolution of one call/new/select
+// progSite is the immutable static resolution of one call/new/select
 // site. cls guards the static-dispatch kinds: the fast path applies only
 // when the evaluated receiver is a class reference with exactly this name.
 type progSite struct {
@@ -94,14 +99,20 @@ type progSite struct {
 	v    Value
 }
 
-// Load links a set of parsed files into an executable program. It reports
+// Load links a set of parsed files into an executable program: the class
+// table, superclass links and flattened method/static lookups, which is all
+// RunMain and CallStatic need to pick an entry point or fail. It reports
 // duplicate classes, unknown superclasses and inheritance cycles.
 //
-// Load also runs the resolution pass (see resolve.go), which annotates the
-// AST in place. Loading the same AST from two goroutines concurrently is
-// therefore a data race, and after re-loading a mutated AST (e.g. after
-// refactor.Apply), programs obtained from earlier loads of that AST must not
-// keep executing.
+// Resolution (see resolve.go) and lowering to bytecode do not happen here:
+// they run once, on the program's first execution (InitStatics, which every
+// run passes through) or Disasm. A program that never runs — a static
+// analysis target with no main — is never resolved or compiled. Preparation
+// annotates the AST in place, so the AST must not be mutated between Load and
+// the first run; loading the same AST twice concurrently is a data race, and
+// after re-loading a mutated AST (e.g. after refactor.Apply), programs
+// obtained from earlier loads of that AST must not keep executing. One
+// program shared by many interpreters is prepared exactly once.
 func Load(files ...*ast.File) (*Program, error) {
 	p := &Program{classes: make(map[string]*classInfo)}
 	for _, f := range files {
@@ -214,9 +225,17 @@ func Load(files ...*ast.File) (*Program, error) {
 			}
 		}
 	}
-	resolveProgram(p)
-	compileProgram(p)
 	return p, nil
+}
+
+// prepare resolves and compiles the program on first use. sync.Once orders
+// the AST annotation before every reader, so interpreters sharing the program
+// across goroutines see it fully prepared.
+func (p *Program) prepare() {
+	p.prepared.Do(func() {
+		resolveProgram(p)
+		compileProgram(p)
+	})
 }
 
 // Class looks up a loaded class.

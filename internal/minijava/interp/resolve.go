@@ -2,9 +2,10 @@ package interp
 
 import "jepo/internal/minijava/ast"
 
-// This file implements the load-time resolution pass. It runs once at the
-// end of Load and annotates the AST so the execution hot path can skip the
-// per-node map lookups the dynamic semantics would otherwise require:
+// This file implements the resolution pass. It runs once, on the program's
+// first execution (Program.prepare), and annotates the AST so the execution
+// hot path can skip the per-node map lookups the dynamic semantics would
+// otherwise require:
 //
 //   - every method gets a frame slot count (Method.NSlots), every local and
 //     catch variable a numbered slot, and every identifier the slot of the
@@ -26,8 +27,8 @@ import "jepo/internal/minijava/ast"
 // internal/tables).
 //
 // All annotations are deterministic functions of the AST and are fully
-// overwritten on every Load, so re-loading the same (unmutated) AST yields
-// identical annotations.
+// overwritten every time a program is prepared, so preparing a re-load of the
+// same (unmutated) AST yields identical annotations.
 
 type resolver struct {
 	p *Program

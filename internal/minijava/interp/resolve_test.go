@@ -9,8 +9,9 @@ import (
 	"jepo/internal/minijava/parser"
 )
 
-// loadOnly parses and loads src without executing anything, so tests can
-// inspect the resolver's AST annotations.
+// loadOnly parses, loads and prepares src without executing anything, so
+// tests can inspect the resolver's AST annotations (Load alone leaves them
+// unset until the first run).
 func loadOnly(t *testing.T, src string) (*Program, *ast.File) {
 	t.Helper()
 	f, err := parser.Parse("resolve.java", src)
@@ -21,6 +22,7 @@ func loadOnly(t *testing.T, src string) (*Program, *ast.File) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	prog.prepare()
 	return prog, f
 }
 
@@ -176,11 +178,16 @@ func TestResolveReloadIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p1.prepare()
 	n1 := len(p1.sites)
+	if n1 == 0 {
+		t.Fatal("no call sites recorded; the reload check would be vacuous")
+	}
 	p2, err := Load(f)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p2.prepare()
 	if len(p2.sites) != n1 {
 		t.Errorf("site table grew across reload: %d then %d", n1, len(p2.sites))
 	}

@@ -2,6 +2,7 @@ package lexer
 
 import (
 	"testing"
+	"unsafe"
 
 	"jepo/internal/minijava/token"
 )
@@ -33,24 +34,79 @@ func TestScanBasics(t *testing.T) {
 	}
 }
 
+// operatorKinds lists every punctuation/operator kind with its spelling,
+// taken from the Kind names (operator kinds name themselves).
+func operatorKinds() map[string]token.Kind {
+	ops := make(map[string]token.Kind)
+	for k := token.EOF; k <= token.XorEq; k++ {
+		s := k.String()
+		if c := s[0]; !isLetter(c) && !isDigit(c) {
+			ops[s] = k
+		}
+	}
+	return ops
+}
+
+// scanOne scans src and requires exactly one token of the given kind whose
+// text is src.
+func scanOne(t *testing.T, src string, want token.Kind) {
+	t.Helper()
+	toks, err := Scan(src)
+	if err != nil {
+		t.Fatalf("Scan(%q): %v", src, err)
+	}
+	if len(toks) != 2 || toks[0].Kind != want || toks[0].Text != src || toks[1].Kind != token.EOF {
+		t.Errorf("Scan(%q) = %v, want one %v token", src, toks, want)
+	}
+}
+
+// TestScanOperators: every operator spelling of the Kind names scans to its
+// kind, and longer runs split longest-match-first.
 func TestScanOperators(t *testing.T) {
-	src := `a += b; c <<= 0; x && y || !z; i++; j--; p <= q; r >= s; m != n; k == l;`
-	// <<= is not in the dialect: it lexes as << then =.
+	ops := operatorKinds()
+	if want := int(token.XorEq-token.LParen) + 1; len(ops) != want {
+		t.Fatalf("found %d operator spellings, want %d", len(ops), want)
+	}
+	for text, k := range ops {
+		scanOne(t, text, k)
+	}
+	// The dialect has no shift-assign: <<= and >>= split after the shift.
+	for src, want := range map[string][]token.Kind{
+		"c <<= 0": {token.IDENT, token.Shl, token.Assign, token.INTLIT, token.EOF},
+		">>=":     {token.Shr, token.Assign, token.EOF},
+		"<<<":     {token.Shl, token.Lt, token.EOF},
+		"===":     {token.Eq, token.Assign, token.EOF},
+		"+++":     {token.Inc, token.Plus, token.EOF},
+		"=>":      {token.Assign, token.Gt, token.EOF},
+	} {
+		got := kinds(t, src)
+		if len(got) != len(want) {
+			t.Errorf("Scan(%q) = %v, want %v", src, got, want)
+			continue
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("Scan(%q) = %v, want %v", src, got, want)
+				break
+			}
+		}
+	}
+}
+
+// TestTokenTextAliasesSource: every token's Text is a substring of the
+// source, sharing its bytes, one-char operators included.
+func TestTokenTextAliasesSource(t *testing.T) {
+	src := `class T { int f(int a) { a += 1; return a % 3 == 0 ? a : -a; } }`
 	toks, err := Scan(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sawShl, sawAssign bool
-	for _, tk := range toks {
-		if tk.Kind == token.Shl {
-			sawShl = true
+	base := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	for _, tk := range toks[:len(toks)-1] {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(tk.Text)))
+		if p < base || p+uintptr(len(tk.Text)) > base+uintptr(len(src)) {
+			t.Errorf("token %q at %v does not alias the source", tk.Text, tk.Pos)
 		}
-		if tk.Kind == token.Assign {
-			sawAssign = true
-		}
-	}
-	if !sawShl || !sawAssign {
-		t.Error("<<= must lex as << followed by =")
 	}
 }
 
@@ -122,29 +178,34 @@ func TestScanPositions(t *testing.T) {
 }
 
 func TestScanErrors(t *testing.T) {
-	for _, src := range []string{
-		`"unterminated`,
-		`'`,
-		`''`,
-		`'ab`,
-		`#`,
-		`/* open`,
-		`1e`,
-		`1.5L`,
+	for src, msg := range map[string]string{
+		`"unterminated`: "",
+		`'`:             "",
+		`''`:            "",
+		`'ab`:           "",
+		`#`:             `1:1: unexpected character "#"`,
+		"x\n\xc3":       `2:1: unexpected character "Ã"`,
+		`/* open`:       "",
+		`1e`:            "",
+		`1.5L`:          "",
 	} {
-		if _, err := Scan(src); err == nil {
+		_, err := Scan(src)
+		if err == nil {
 			t.Errorf("Scan(%q): want error", src)
+		} else if msg != "" && err.Error() != msg {
+			t.Errorf("Scan(%q) error = %v, want %s", src, err, msg)
 		}
 	}
 }
 
+// TestKeywords: every token.Keywords spelling scans to its kind, and
+// near-keywords stay identifiers.
 func TestKeywords(t *testing.T) {
-	got := kinds(t, "class instanceof finally throws")
-	want := []token.Kind{token.KwClass, token.KwInstanceof, token.KwFinally, token.KwThrows, token.EOF}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("token %d = %v, want %v", i, got[i], want[i])
-		}
+	for text, k := range token.Keywords {
+		scanOne(t, text, k)
+	}
+	for _, near := range []string{"doo", "in", "int_", "Int", "$for", "instanceOf", "classes", "d", "x1"} {
+		scanOne(t, near, token.IDENT)
 	}
 }
 

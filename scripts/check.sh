@@ -35,6 +35,12 @@ echo "== engine agreement fuzz =="
 # regression seeds, which every plain `go test` replays.
 go test -run '^$' -fuzz FuzzEngineAgreement -fuzztime 15s ./internal/minijava/interp
 
+echo "== lexer fuzz =="
+# Arbitrary input must scan to an EOF-terminated stream or an error; every
+# token's Text must be the source at its Pos, and keyword and operator kinds
+# must agree with token.Keywords and the Kind names.
+go test -run '^$' -fuzz FuzzScan -fuzztime 10s ./internal/minijava/parser
+
 echo "== sched diff =="
 # Differential fuzz for the worker pool: random task counts, worker counts
 # and fault plans must merge to identical results and Health ledgers at any
